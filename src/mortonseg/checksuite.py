@@ -23,7 +23,7 @@ from .gradcheck import GradCheckResult, check_gradients
 from .morton import build_permutation, gather_sequence, scatter_back
 from .network import Model, ce_dice_loss, desk_config, instance_norm
 from .rng import make_rng
-from .ssm import (ScanParams, gated_fusion, init_ssm_params,
+from .ssm import (SCAN_CHUNK, ScanParams, gated_fusion, init_ssm_params,
                   linear_recurrence, selective_scan)
 from .tensor import Tensor
 from .vq import make_codebook, quantize, straight_through_check
@@ -106,8 +106,16 @@ def suite(seed: int = 0) -> list:
     add("morton_scatter", _scalarize(lambda s: scatter_back(s, perm)),
         [_t(rng, 12, 3)])
 
+    def recurrence_inputs(ln):  # delta, a, b, s, c with E=2, N=3
+        return [_t(rng, ln, 2, 1, lo=0.1, hi=1.0),
+                _t(rng, 1, 2, 3, lo=-2.0, hi=-0.2),
+                _t(rng, ln, 1, 3), _t(rng, ln, 2, 1), _t(rng, ln, 3)]
+
     add("linear_recurrence", _scalarize(linear_recurrence),
-        [_t(rng, 5, 2, 3, lo=0.1, hi=0.9), _t(rng, 5, 2, 3), _t(rng, 5, 3)])
+        recurrence_inputs(5))
+    # two full chunks and a short one: state hand-off and reverse carry
+    add("linear_recurrence_chunks", _scalarize(linear_recurrence),
+        recurrence_inputs(2 * SCAN_CHUNK + 5))
 
     scan_p = init_ssm_params(make_rng(seed, 0xC1), e=2, n=3, dtype=np.float64)
 

@@ -6,9 +6,10 @@ Formula sheet (multiply-accumulate counted as 2 FLOPs):
                            (bias, normalization and relu excluded: they
                            are O(C * voxels) against the k^3 term)
   scan, one direction      9 * L * E * N   recurrence core per token,
-                           channel and state: discretize 3 (mul, exp,
-                           mul), state update 4 (2 mul, add, mul by s),
-                           output accumulation 2 (mul, add)
+                           channel and state, all inside the fused
+                           ssm.linear_recurrence op: discretization 3
+                           (mul, exp, mul), state update 4 (2 mul, add,
+                           mul by s), output accumulation 2 (mul, add)
   projections, per dir     2*L*E*E (step size) + 2 * 2*L*E*N (B and C)
   depthwise conv, width w  2 * w * L * E   (run once, before both scans)
   gated fusion             4 * L * E       two scaled streams plus add

@@ -126,13 +126,20 @@ def build_permutation(dims) -> MortonPermutation:
     return MortonPermutation(dims=dims, bits=b, forward=forward, inverse=inverse)
 
 
+def _permute(a: Tensor, order: np.ndarray, inverse: np.ndarray,
+             axis: int) -> Tensor:
+    """Gather along an axis by a bijection; the adjoint gathers by its inverse."""
+    return Tensor._make(np.take(a.data, order, axis=axis), (a,),
+                        lambda g: (np.take(g, inverse, axis=axis),), "permute")
+
+
 def gather_sequence(feat: Tensor, p: MortonPermutation) -> Tensor:
     """(C, X, Y, Z) -> (L, C) in Morton order; tape-recorded."""
     c = feat.shape[0]
     if tuple(feat.shape[1:]) != p.dims:
         raise ValueError(f"feature dims {feat.shape[1:]} != grid {p.dims}")
     flat = T.reshape(feat, (c, p.length))
-    return T.transpose(T.take(flat, p.forward, axis=1), (1, 0))
+    return T.transpose(_permute(flat, p.forward, p.inverse, 1), (1, 0))
 
 
 def scatter_back(seq: Tensor, p: MortonPermutation) -> Tensor:
@@ -140,7 +147,7 @@ def scatter_back(seq: Tensor, p: MortonPermutation) -> Tensor:
     ln, c = seq.shape
     if ln != p.length:
         raise ValueError(f"sequence length {ln} != grid size {p.length}")
-    voxel_order = T.take(seq, p.inverse, axis=0)
+    voxel_order = _permute(seq, p.inverse, p.forward, 0)
     return T.reshape(T.transpose(voxel_order, (1, 0)), (c,) + p.dims)
 
 

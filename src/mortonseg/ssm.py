@@ -6,7 +6,7 @@ along the sequence:
     delta_k = softplus(s_k W_delta + b_delta)        (L, E)  step sizes
     B_k     = s_k W_B ;  C_k = s_k W_C               (L, N)  input/output maps
     A       = -exp(A_log)                            (E, N)  diagonal, < 0
-    Abar_k  = exp(delta_k * A)                       per-step decay in (0,1)
+    Abar_k  = exp(delta_k * A)                       per-step decay in (0,1]
     h_k     = Abar_k * h_{k-1} + delta_k * B_k * s_k
     y_k     = <C_k, h_k> + D * s_k
 
@@ -16,9 +16,17 @@ direction is the same recurrence run on the flipped sequence and flipped
 back, which makes forward/reverse duality exact by construction rather
 than by a second code path.
 
-The recurrence itself is one tape op with a hand-derived backward; all
-surrounding algebra (projections, discretization, gating) is composed
-from primitive ops so finite-difference checks cover the whole block.
+Discretization, recurrence and output map are one tape op with a
+hand-derived backward, ``linear_recurrence``. It walks the sequence
+SCAN_CHUNK tokens at a time, so the (L, E, N) decays, inputs and states
+of a long sequence never exist at once: the tape keeps only the state
+entering each chunk, and backward recomputes a chunk's states from it
+(recompute-for-memory, as in Mamba's hardware-aware scan). Inside a
+chunk the states come from a token loop rather than from a cumulative
+sum of log-decays: one step's delta * |A| can exceed 10, so the exp of
+a running sum leaves float32 range within a few tokens. The algebra
+around the op (projections, gating) is composed from primitive ops, so
+finite-difference checks cover the whole block.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .morton import MortonPermutation, gather_sequence, scatter_back
 from .tensor import Tensor
 
 DWCONV_WIDTH = 4
+SCAN_CHUNK = 64  # tokens whose (E, N) decays and states exist at once
 
 
 @dataclass
@@ -108,52 +117,82 @@ def init_ssm_params(rng: np.random.Generator, e: int, n: int,
     return params
 
 
-def discretize(a: Tensor, b: Tensor, delta: Tensor) -> tuple[Tensor, Tensor]:
-    """Zero-order-hold decay and Euler input weight.
+def linear_recurrence(delta: Tensor, a: Tensor, b: Tensor, s: Tensor,
+                      c: Tensor) -> Tensor:
+    """Fused discretization and scan: y_k = <c_k, h_k>, h_{-1} = 0, with
 
-    Abar = exp(delta * a) elementwise (a diagonal and negative),
-    Bbar = delta * b. Shapes follow broadcasting; delta must be > 0.
+        h_k = exp(delta_k * a) * h_{k-1} + delta_k * s_k * b_k.
+
+    delta, s: (L, E, 1); a: (1, E, N); b: (L, 1, N); c: (L, N); returns
+    (L, E). The per-token decays and states exist only SCAN_CHUNK tokens
+    at a time: the tape keeps the state entering each chunk, and backward
+    recomputes the chunk's states from it before running the adjoint.
+    Inside, a state is held as (N, E), so that every broadcast runs along
+    the long channel axis. delta = 0 is a valid (frozen) step; only a
+    non-finite delta is an error.
     """
-    if np.any(delta.data <= 0):
-        raise ValueError("delta must be strictly positive")
-    return T.texp(T.mul(delta, a)), T.mul(delta, b)
+    if delta.ndim != 3 or delta.shape[2] != 1:
+        raise ValueError("delta must be (L, E, 1)")
+    ln, e = delta.shape[:2]
+    if a.ndim != 3 or a.shape[:2] != (1, e):
+        raise ValueError("a must be (1, E, N)")
+    n = a.shape[2]
+    if b.shape != (ln, 1, n) or s.shape != (ln, e, 1) or c.shape != (ln, n):
+        raise ValueError("b, s and c must be (L, 1, N), (L, E, 1) and (L, N)")
+    dd, sd = delta.data[:, :, 0], s.data[:, :, 0]  # (L, E)
+    at = np.ascontiguousarray(a.data[0].T)        # (N, E)
+    bd, cd = b.data[:, 0], c.data                 # (L, N)
+    dt = dd.dtype
+    if not np.all(np.isfinite(dd)):
+        raise T.NumericalError("non-finite scan step size delta")
+    entry = np.zeros((-(-ln // SCAN_CHUNK), n, e), dtype=dt)
 
+    def chunk(i):
+        """Chunk i's delta*s, decays and states [entry, h_k0, ..., h_k1-1]."""
+        span = slice(i * SCAN_CHUNK, (i + 1) * SCAN_CHUNK)
+        ds = dd[span] * sd[span]
+        abar = np.exp(dd[span, None, :] * at)
+        hs = np.empty((len(ds) + 1, n, e), dtype=dt)
+        hs[0] = entry[i]
+        np.multiply(ds[:, None, :], bd[span, :, None], out=hs[1:])
+        step = np.empty((n, e), dtype=dt)
+        for k in range(len(ds)):
+            np.multiply(abar[k], hs[k], out=step)
+            hs[k + 1] += step
+        return span, ds, abar, hs
 
-def linear_recurrence(abar: Tensor, bu: Tensor, c: Tensor) -> Tensor:
-    """y[k] = <h_k, c_k> with h_k = abar_k * h_{k-1} + bu_k, h_{-1} = 0.
-
-    abar, bu: (L, E, N); c: (L, N); returns (L, E). The backward pass
-    replays the recurrence adjoint in reverse, reusing the stored states.
-    """
-    if abar.shape != bu.shape or abar.ndim != 3:
-        raise ValueError("abar and bu must both be (L, E, N)")
-    ln, e, n = abar.shape
-    if c.shape != (ln, n):
-        raise ValueError("c must be (L, N)")
-    ad, bd, cd = abar.data, bu.data, c.data
-    h = np.empty((ln, e, n), dtype=ad.dtype)
-    y = np.empty((ln, e), dtype=ad.dtype)
-    hk = np.zeros((e, n), dtype=ad.dtype)
-    for k in range(ln):
-        hk = ad[k] * hk + bd[k]
-        h[k] = hk
-        y[k] = hk @ cd[k]
+    y = np.empty((ln, e), dtype=dt)
+    for i in range(len(entry)):
+        span, _, _, hs = chunk(i)
+        y[span] = np.matmul(cd[span, None, :], hs[1:])[:, 0]
+        if i + 1 < len(entry):
+            entry[i + 1] = hs[-1]
 
     def bwd(g):
-        ga = np.zeros_like(ad)
-        gbu = np.empty_like(bd)
-        gc = np.empty_like(cd)
-        gh = np.zeros((e, n), dtype=g.dtype)
-        for k in range(ln - 1, -1, -1):
-            gh = gh + g[k][:, None] * cd[k][None, :]
-            gc[k] = h[k].T @ g[k]
-            gbu[k] = gh
-            if k > 0:
-                ga[k] = gh * h[k - 1]
-            gh = gh * ad[k]
-        return ga, gbu, gc
+        gd, gs = np.empty((ln, e), dtype=dt), np.empty((ln, e), dtype=dt)
+        gb, gc = np.empty((ln, n), dtype=dt), np.empty((ln, n), dtype=dt)
+        ga = np.zeros((n, e), dtype=dt)
+        carry = np.zeros((n, e), dtype=dt)
+        for i in reversed(range(len(entry))):
+            span, ds, abar, hs = chunk(i)
+            gk = g[span]
+            gc[span] = np.matmul(hs[1:], gk[:, :, None])[:, :, 0]
+            # adjoint of h_k: its own output term plus what h_k+1 sends back
+            gh = cd[span, :, None] * gk[:, None, :]
+            for k in range(len(gk) - 1, -1, -1):
+                gh[k] += carry
+                np.multiply(gh[k], abar[k], out=carry)
+            gb[span] = np.matmul(gh, ds[:, :, None])[:, :, 0]
+            gds = np.matmul(bd[span, None, :], gh)[:, 0]
+            gh *= hs[:-1]
+            gh *= abar  # now d loss / d(delta_k * a) per token, state, channel
+            gd[span] = np.einsum("tne,ne->te", gh, at) + gds * sd[span]
+            gs[span] = gds * dd[span]
+            ga += np.einsum("tne,te->ne", gh, dd[span])
+        return (gd[:, :, None], np.ascontiguousarray(ga.T)[None],
+                gb[:, None, :], gs[:, :, None], gc)
 
-    return Tensor._make(y, (abar, bu, c), bwd, "linear_recurrence")
+    return Tensor._make(y, (delta, a, b, s, c), bwd, "linear_recurrence")
 
 
 def selective_scan(seq: Tensor, p: ScanParams, direction: str = "forward") -> Tensor:
@@ -173,11 +212,9 @@ def selective_scan(seq: Tensor, p: ScanParams, direction: str = "forward") -> Te
     b = T.matmul(seq, p.w_b)  # (L,N)
     c = T.matmul(seq, p.w_c)  # (L,N)
     a = T.neg(T.texp(p.a_log))  # (E,N)
-    abar, bbar = discretize(
-        T.reshape(a, (1, e, n)), T.reshape(b, (ln, 1, n)),
-        T.reshape(delta, (ln, e, 1)))
-    bu = T.mul(bbar, T.reshape(seq, (ln, e, 1)))
-    y = linear_recurrence(abar, bu, c)
+    y = linear_recurrence(
+        T.reshape(delta, (ln, e, 1)), T.reshape(a, (1, e, n)),
+        T.reshape(b, (ln, 1, n)), T.reshape(seq, (ln, e, 1)), c)
     if p.d_skip is not None:
         y = T.add(y, T.mul(seq, p.d_skip))
     return y

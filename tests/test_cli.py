@@ -253,6 +253,17 @@ def test_gradcheck_filtered_passes(work, capsys):
     assert rows and all(r["passed"] == "1" for r in rows)
 
 
+def test_gradcheck_recurrence_checks_one_and_many_chunks(work):
+    d = work / "gc_recurrence"
+    assert main(["gradcheck", "--op", "recurrence", "--out", str(d)]) == 0
+    with open(d / "gradcheck.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(r["name"] for r in rows) == [
+        "linear_recurrence", "linear_recurrence_chunks"]
+    assert all(r["passed"] == "1" and float(r["max_rel_error"]) < 1e-4
+               for r in rows)
+
+
 def test_gradcheck_sabotage_detected(capsys):
     # flipping one backward sign must trip the checker: exit code 2
     rc = main(["gradcheck", "--op", "mul", "--sabotage", "mul"])

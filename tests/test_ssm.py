@@ -1,4 +1,4 @@
-"""Selective scan: discretization, recurrence oracle, duality, fusion."""
+"""Selective scan: fused recurrence, scan oracle, duality, fusion."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,10 @@ from mortonseg import tensor as T
 from mortonseg.gradcheck import check_gradients
 from mortonseg.morton import build_permutation, gather_sequence, scatter_back
 from mortonseg.rng import make_rng
-from mortonseg.ssm import (ScanParams, bidir_scan_block, discretize,
+from mortonseg.ssm import (SCAN_CHUNK, ScanParams, bidir_scan_block,
                            gated_fusion, init_ssm_params, linear_recurrence,
                            selective_scan)
-from mortonseg.tensor import Tensor
+from mortonseg.tensor import NumericalError, Tensor
 
 
 def f64_params(rng, e, n, **kw):
@@ -44,41 +44,114 @@ def naive_scan_oracle(seq: np.ndarray, p: ScanParams) -> np.ndarray:
     return y
 
 
-# -- discretize ---------------------------------------------------------------
+def t64(data):
+    return Tensor(np.asarray(data, dtype=np.float64), dtype=np.float64)
 
 
-def test_discretize_small_delta_limit():
-    a = Tensor([[-1.0, -2.0]], dtype=np.float64)
-    b = Tensor([[0.3, 0.7]], dtype=np.float64)
-    delta = Tensor([[1e-12, 1e-12]], dtype=np.float64)
-    abar, bbar = discretize(a, b, delta)
-    assert np.allclose(abar.data, 1.0, atol=1e-11)
-    assert np.allclose(bbar.data, 0.0, atol=1e-11)
+def recurrence_inputs(rng, ln, e, n):
+    """delta (L,E,1), a (1,E,N), b (L,1,N), s (L,E,1), c (L,N) in float64."""
+    return (t64(rng.uniform(0.1, 1.0, (ln, e, 1))),
+            t64(-np.exp(rng.normal(0, 1, (1, e, n)))),
+            t64(rng.normal(0, 1, (ln, 1, n))),
+            t64(rng.normal(0, 1, (ln, e, 1))), t64(rng.normal(0, 1, (ln, n))))
 
 
-def test_discretize_closed_form():
-    abar, bbar = discretize(Tensor([-1.0], dtype=np.float64),
-                            Tensor([2.0], dtype=np.float64),
-                            Tensor([np.log(2.0)], dtype=np.float64))
-    assert np.allclose(abar.data, 0.5, rtol=0, atol=1e-15)
-    assert np.allclose(bbar.data, 2.0 * np.log(2.0), rtol=1e-15)
+def held_arrays(fn):
+    """Base buffers of the arrays a closure holds, nested closures included."""
+    out, todo = {}, [fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            try:
+                v = cell.cell_contents
+            except ValueError:  # empty cell
+                continue
+            if isinstance(v, np.ndarray):
+                while isinstance(v.base, np.ndarray):
+                    v = v.base
+                out[id(v)] = v
+            elif callable(v) and getattr(v, "__closure__", None):
+                todo.append(v)
+    return list(out.values())
 
 
-def test_discretize_matches_exp_oracle():
+# -- fused recurrence ---------------------------------------------------------
+
+
+def test_recurrence_one_token_closed_form():
+    # y = c . (delta * b * s), with delta = log 2, b = 2, s = 1.5, c = 0.5
+    y = linear_recurrence(t64([[[np.log(2.0)]]]), t64([[[-1.0]]]),
+                          t64([[[2.0]]]), t64([[[1.5]]]), t64([[0.5]]))
+    assert np.allclose(y.data, [[1.5 * np.log(2.0)]], rtol=1e-15, atol=0)
+
+
+def test_recurrence_two_tokens_expose_exp_decay():
+    # token 1 has no input, so y_1 = c_1 . (exp(delta_1 a) * h_0)
+    y = linear_recurrence(t64([[[1.0]], [[np.log(2.0)]]]), t64([[[-1.0]]]),
+                          t64([[[2.0]], [[5.0]]]), t64([[[3.0]], [[0.0]]]),
+                          t64([[1.0], [1.0]]))
+    assert np.allclose(y.data, [[6.0], [3.0]], rtol=0, atol=1e-15)
     rng = make_rng(41)
-    a = -np.exp(rng.normal(0, 1, (3, 4)))
-    delta = np.exp(rng.uniform(-3, 0, (3, 4)))
-    abar, _ = discretize(Tensor(a, dtype=np.float64),
-                         Tensor(np.ones((3, 4)), dtype=np.float64),
-                         Tensor(delta, dtype=np.float64))
-    expect = np.array([[np.exp(float(delta[i, j]) * float(a[i, j]))
-                        for j in range(4)] for i in range(3)])
-    assert np.allclose(abar.data, expect, rtol=1e-12, atol=0)
+    delta, a, b, s, c = recurrence_inputs(rng, 2, 3, 4)
+    s.data[1] = 0.0
+    y = linear_recurrence(delta, a, b, s, c).data
+    d, av, bv, sv, cv = (t.data for t in (delta, a, b, s, c))
+    for ei in range(3):
+        expect = sum(float(cv[1, ni])
+                     * np.exp(float(d[1, ei, 0]) * float(av[0, ei, ni]))
+                     * float(d[0, ei, 0] * bv[0, 0, ni] * sv[0, ei, 0])
+                     for ni in range(4))
+        assert np.isclose(y[1, ei], expect, rtol=1e-12, atol=0)
 
 
-def test_discretize_rejects_nonpositive_delta():
-    with pytest.raises(ValueError):
-        discretize(Tensor([-1.0]), Tensor([1.0]), Tensor([0.0]))
+def test_recurrence_small_delta_limit():
+    # after token 0, delta -> 0 freezes the state: abar -> 1, input -> 0
+    rng = make_rng(42)
+    delta, a, b, s, c = recurrence_inputs(rng, 4, 2, 3)
+    delta.data[1:] = 1e-12
+    y = linear_recurrence(delta, a, b, s, c).data
+    h0 = delta.data[0] * b.data[0] * s.data[0]  # (E, N)
+    for k in range(1, 4):
+        assert np.allclose(y[k], h0 @ c.data[k], rtol=0, atol=1e-10)
+
+
+def test_recurrence_rejects_nonfinite_delta():
+    rng = make_rng(43)
+    for bad in (np.nan, np.inf):
+        delta, a, b, s, c = recurrence_inputs(rng, 3, 2, 2)
+        delta.data[1, 0, 0] = bad
+        with pytest.raises(NumericalError):
+            linear_recurrence(delta, a, b, s, c)
+    delta, a, b, s, c = recurrence_inputs(rng, 3, 2, 2)
+    delta.data[:] = 0.0  # a frozen step is no error
+    assert np.array_equal(linear_recurrence(delta, a, b, s, c).data,
+                          np.zeros((3, 2)))
+
+
+def test_scan_delta_underflow_leaves_only_skip_path():
+    # float32 softplus(-200) is exactly 0, so no state is ever written
+    rng = make_rng(44)
+    with T.default_dtype(np.float32):
+        p = init_ssm_params(rng, 3, 2).scan
+    p.w_delta.data[:] = 0.0
+    p.b_delta.data[:] = -200.0
+    seq = Tensor(rng.normal(0, 1, (7, 3)), dtype=np.float32)
+    out = selective_scan(seq, p, "forward")
+    assert np.array_equal(out.data, p.d_skip.data * seq.data)
+
+
+def test_recurrence_tape_holds_no_full_state():
+    rng = make_rng(45)
+    ln, e, n = 2 * SCAN_CHUNK + 5, 4, 3
+    p = f64_params(rng, e, n).scan
+    seq = Tensor(rng.normal(0, 1, (ln, e)), requires_grad=True,
+                 dtype=np.float64)
+    node, todo = None, [selective_scan(seq, p, "forward")]
+    while node is None:
+        t = todo.pop()
+        node = t if t.op == "linear_recurrence" else None
+        todo.extend(t._parents)
+    held = held_arrays(node._backward_fn) + [q.data for q in node._parents]
+    assert max(a.size for a in held) < ln * e * n
 
 
 # -- recurrence and scan ------------------------------------------------------
@@ -88,6 +161,16 @@ def test_scan_matches_naive_loop_oracle():
     rng = make_rng(42)
     p = f64_params(rng, 2, 3).scan
     seq = rand_seq(rng, 6, 2)
+    out = selective_scan(seq, p, "forward")
+    assert np.allclose(out.data, naive_scan_oracle(seq.data, p),
+                       rtol=1e-10, atol=1e-12)
+
+
+def test_scan_matches_oracle_across_chunks():
+    # two full chunks and a short one: the state crosses both boundaries
+    rng = make_rng(60)
+    p = f64_params(rng, 2, 3).scan
+    seq = rand_seq(rng, 2 * SCAN_CHUNK + 5, 2)
     out = selective_scan(seq, p, "forward")
     assert np.allclose(out.data, naive_scan_oracle(seq.data, p),
                        rtol=1e-10, atol=1e-12)
@@ -180,11 +263,14 @@ def test_scan_gradients_match_fd():
 
 
 def test_linear_recurrence_shape_errors():
-    ok = Tensor(np.ones((4, 2, 3)))
-    with pytest.raises(ValueError):
-        linear_recurrence(ok, Tensor(np.ones((4, 2, 2))), Tensor(np.ones((4, 3))))
-    with pytest.raises(ValueError):
-        linear_recurrence(ok, ok, Tensor(np.ones((4, 2))))
+    ln, e, n = 4, 2, 3
+    shapes = [(ln, e, 1), (1, e, n), (ln, 1, n), (ln, e, 1), (ln, n)]
+    bad = [(ln, e, n), (1, e + 1, n), (ln, 1, n + 1), (ln, e), (ln + 1, n)]
+    for i, shape in enumerate(bad):
+        args = [Tensor(np.ones(sh)) for sh in shapes]
+        args[i] = Tensor(np.ones(shape))
+        with pytest.raises(ValueError):
+            linear_recurrence(*args)
 
 
 # -- fusion -------------------------------------------------------------------
