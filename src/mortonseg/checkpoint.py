@@ -16,6 +16,7 @@ failing on truncation instead of returning partial state.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -62,10 +63,15 @@ def load_checkpoint(path) -> dict:
     entries = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode()
+        try:
+            name = take(name_len).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"{path}: entry name at byte {off - name_len} is not utf-8"
+            ) from None
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        n = math.prod(shape)  # exact, where an int64 product would wrap
         buf = take(4 * n)
         entries[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
     if off != len(raw):

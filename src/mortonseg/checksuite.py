@@ -93,6 +93,11 @@ def suite(seed: int = 0) -> list:
         [_t(rng, 2, 4, 4, 4), _t(rng, 3, 2, 3, 3, 3), _t(rng, 3)])
     add("conv3d_s2", _scalarize(lambda x, w, bb: conv3d(x, w, bb, 2)),
         [_t(rng, 2, 5, 4, 6), _t(rng, 3, 2, 3, 3, 3), _t(rng, 3)])
+    # C_out = 16 over a 2x3x2 grid lands on the stacked GEMM form; its own
+    # stream keeps every later entry's inputs as they were
+    wide = make_rng(seed, 0xC4)
+    add("conv3d_wide", _scalarize(lambda x, w, bb: conv3d(x, w, bb, 1)),
+        [_t(wide, 2, 2, 3, 2), _t(wide, 16, 2, 3, 3, 3), _t(wide, 16)])
     add("dwconv1d", _scalarize(dwconv1d_causal),
         [_t(rng, 6, 3), _t(rng, 3, 4), _t(rng, 3)])
     add("upsample", _scalarize(lambda x: upsample_nearest3d(x, 2)),

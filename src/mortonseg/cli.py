@@ -108,9 +108,9 @@ def _echo_config(out_dir: Path, args) -> None:
 def _net_config(preset: str | None, checkpoint: str | None = None) -> NetConfig:
     """Resolve a network configuration for train/eval.
 
-    eval with no explicit preset picks up net_config.json written next to
-    the checkpoint, so a checkpoint evaluates with the topology it was
-    trained with.
+    With no explicit preset, eval and train --resume pick up the
+    net_config.json written next to the checkpoint, so a checkpoint
+    evaluates and resumes with the topology it was trained with.
     """
     if preset is None and checkpoint is not None:
         sidecar = Path(checkpoint).parent / "net_config.json"
@@ -223,7 +223,7 @@ def cmd_folds(args) -> int:
 def cmd_train(args) -> int:
     out = _out_dir(args)
     cases = load_dataset(args.data)
-    cfg = _net_config(args.preset or "desk")
+    cfg = _net_config(args.preset, args.resume)
     if args.lr <= 0 or args.steps < 0:
         raise ValueError("--lr must be positive and --steps >= 0")
     model = Model(cfg, seed=args.seed)

@@ -4,11 +4,16 @@ Layout convention: activations are channels-first without a batch axis,
 (C, D, H, W). The optimizer sees one crop at a time, so batching is the
 caller's loop, not a tensor axis.
 
-conv3d uses im2col: the padded input is unfolded into a (C_in*k^3, V)
-column matrix and the kernel applied as a single matmul. Spatial padding
-is fixed at k//2, so with odd k the output grid is ceil(extent/stride)
-along each axis; stride 1 preserves shape and stride 2 halves it (odd
-extents round up).
+conv3d pads by k//2, so with odd k the output grid is ceil(extent/stride)
+per axis. It builds no im2col matrix: the padded input is split into its
+stride^3 phases (one at stride 1) on a common grid and flattened, so each of
+the k^3 taps reads one contiguous slice of one phase at a fixed offset, over
+the output laid out with the grid's row length (voxels between rows are
+cropped). The tape keeps only the phases, about the padded input's size.
+Where the flat output length n >= 2*C_out (wide grids, few channels), out =
+sum over taps of W_tap @ slice, using a tap-major copy of w. Below that (the
+bottleneck: few voxels, hundreds of channels) the copy would cost more than
+the GEMM, so w is read in place against the stacked slices, rebuilt in bwd.
 """
 
 from __future__ import annotations
@@ -21,37 +26,6 @@ from .tensor import Tensor
 def conv_out_extent(extent: int, stride: int) -> int:
     """Output extent of conv3d along one axis (pad=k//2, odd k)."""
     return (extent - 1) // stride + 1
-
-
-def _unfold(xp: np.ndarray, k: int, stride: int, out_sp: tuple) -> np.ndarray:
-    """(C, Dp, Hp, Wp) padded volume -> (C, k, k, k, V) columns."""
-    c = xp.shape[0]
-    od, oh, ow = out_sp
-    cols = np.empty((c, k, k, k, od * oh * ow), dtype=xp.dtype)
-    for a in range(k):
-        for b in range(k):
-            for cc in range(k):
-                view = xp[:, a:a + stride * od:stride,
-                          b:b + stride * oh:stride,
-                          cc:cc + stride * ow:stride]
-                cols[:, a, b, cc, :] = view.reshape(c, -1)
-    return cols
-
-
-def _fold_add(gcols: np.ndarray, pad_shape: tuple, k: int, stride: int,
-              out_sp: tuple) -> np.ndarray:
-    """Adjoint of _unfold: scatter-add columns back into a padded volume."""
-    gpad = np.zeros(pad_shape, dtype=gcols.dtype)
-    c = pad_shape[0]
-    od, oh, ow = out_sp
-    for a in range(k):
-        for b in range(k):
-            for cc in range(k):
-                gpad[:, a:a + stride * od:stride,
-                     b:b + stride * oh:stride,
-                     cc:cc + stride * ow:stride] += \
-                    gcols[:, a, b, cc, :].reshape(c, od, oh, ow)
-    return gpad
 
 
 def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
@@ -68,28 +42,54 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise ValueError("bias shape must be (C_out,)")
     if stride not in (1, 2):
         raise ValueError("stride must be 1 or 2")
-    p = k // 2
-    out_sp = tuple(conv_out_extent(e, stride) for e in (d, h, wd))
+    s, p, q = stride, k // 2, (k - 1) // stride
+    od, oh, ow = (conv_out_extent(e, s) for e in (d, h, wd))
+    gd, gh, gw = od + q, oh + q, ow + q
+    # first output voxel to one past the last: the last tap ends its phase
+    n = ((od - 1) * gh + oh - 1) * gw + ow
+    taps = [(((a % s) * s + bb % s) * s + c % s,
+             (a // s * gh + bb // s) * gw + c // s)
+            for a, bb, c in np.ndindex(k, k, k)]
 
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (p, p)))
-    cols = _unfold(xp, k, stride, out_sp)         # (Cin,k,k,k,V)
-    cols2 = cols.reshape(cin * k * k * k, -1)     # (Cin*k^3, V)
+    xp = np.pad(x.data, [(0, 0)] + [(p, s * g - e - p) for e, g in
+                                    ((d, gd), (h, gh), (wd, gw))])
+    flat = np.ascontiguousarray(
+        xp.reshape(cin, gd, s, gh, s, gw, s).transpose(2, 4, 6, 0, 1, 3, 5)
+    ).reshape(s ** 3, cin, -1)
+    slices = [flat[r, :, o:o + n] for r, o in taps]
+
+    stacked = n < 2 * cout
     w2 = w.data.reshape(cout, -1)
-    out = (w2 @ cols2 + b.data[:, None]).reshape(cout, *out_sp)
-
-    pad_shape = xp.shape
+    acc = np.zeros((cout, od * gh * gw), dtype=np.result_type(x.data, w.data))
+    if stacked:
+        np.matmul(w2, np.stack(slices, axis=1).reshape(-1, n), out=acc[:, :n])
+    else:
+        wt = np.ascontiguousarray(w2.reshape(cout, cin, -1).transpose(2, 0, 1))
+        # one reused product buffer: a fresh one per tap costs page faults
+        buf = np.empty((cout, n), dtype=acc.dtype)
+        for wtap, sl in zip(wt, slices):
+            acc[:, :n] += np.matmul(wtap, sl, out=buf)
+    out = (acc.reshape(cout, od, gh, gw)[:, :, :oh, :ow]
+           + b.data[:, None, None, None])
 
     def bwd(g):
-        g2 = g.reshape(cout, -1)
-        gb = g2.sum(axis=1)
-        gw = (g2 @ cols2.T).reshape(w.shape)
-        gcols = (w2.T @ g2).reshape(cin, k, k, k, -1)
-        gpad = _fold_add(gcols, pad_shape, k, stride, out_sp)
-        if p:
-            gx = gpad[:, p:p + d, p:p + h, p:p + wd]
+        gf = np.zeros((cout, od, gh, gw), dtype=g.dtype)
+        gf[:, :, :oh, :ow] = g
+        gf = gf.reshape(cout, -1)[:, :n]
+        gflat = np.zeros_like(flat)
+        if stacked:
+            gk = gf @ np.stack(slices, axis=1).reshape(-1, n).T
+            gtaps = (w2.T @ gf).reshape(cin, len(taps), n).transpose(1, 0, 2)
         else:
-            gx = gpad
-        return (np.ascontiguousarray(gx), gw, gb)
+            gk = np.stack([gf @ sl.T for sl in slices], axis=-1)
+            buf = np.empty((cin, n), dtype=gflat.dtype)
+            gtaps = (np.matmul(wtap.T, gf, out=buf) for wtap in wt)
+        for (r, o), gt in zip(taps, gtaps):
+            gflat[r, :, o:o + n] += gt
+        gxp = gflat.reshape(s, s, s, cin, gd, gh, gw) \
+            .transpose(3, 4, 0, 5, 1, 6, 2).reshape(cin, s * gd, s * gh, -1)
+        return (gxp[:, p:p + d, p:p + h, p:p + wd], gk.reshape(w.shape),
+                g.sum(axis=(1, 2, 3)))
 
     return Tensor._make(out, (x, w, b), bwd, "conv3d")
 

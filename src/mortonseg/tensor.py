@@ -133,12 +133,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag}, op={self.op})"
@@ -535,10 +529,3 @@ def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
     var = tmean(mul(centered, centered), axis=axis, keepdims=True)
     return div(centered, tsqrt(add(var, eps)))
 
-
-def zeros(shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad, dtype=dtype)
-
-
-def ones(shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad, dtype=dtype)

@@ -128,6 +128,21 @@ def test_train_resume_continues_log(work, dataset, trained):
         (resumed / "checkpoint.mseg").read_bytes()
 
 
+def test_train_resume_reads_net_config_sidecar(tmp_path, dataset):
+    # a full-preset checkpoint resumes with its own topology, no --preset
+    full, resumed = tmp_path / "full", tmp_path / "resumed"
+    assert main(["train", "--data", str(dataset), "--preset", "full",
+                 "--steps", "0", "--out", str(full)]) == 0
+    rc = main(["train", "--data", str(dataset), "--steps", "0",
+               "--resume", str(full / "checkpoint.mseg"),
+               "--out", str(resumed)])
+    assert rc == 0
+    assert (resumed / "net_config.json").read_bytes() == \
+        (full / "net_config.json").read_bytes()
+    for d in (full, resumed):  # 300 MB each
+        (d / "checkpoint.mseg").unlink()
+
+
 def test_train_validates_flags(work, dataset):
     assert main(["train", "--data", str(dataset), "--steps", "1",
                  "--lr", "0", "--out", str(work / "t1")]) == 1
@@ -174,6 +189,15 @@ def test_eval_fold_filter(work, dataset, trained):
 def test_eval_missing_checkpoint_is_io_error(work, dataset):
     assert main(["eval", "--checkpoint", str(work / "no.mseg"),
                  "--data", str(dataset), "--out", str(work / "s2")]) == 3
+
+
+def test_eval_corrupt_checkpoint_name_is_io_error(work, dataset, trained):
+    raw = bytearray((trained / "checkpoint.mseg").read_bytes())
+    raw[16] |= 0x80  # first byte of the first entry name: no longer utf-8
+    bad = work / "bad_name.mseg"
+    bad.write_bytes(bytes(raw))
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
+                 "--out", str(work / "s3")]) == 3
 
 
 # ---------------------------------------------------------------- analyze

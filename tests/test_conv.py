@@ -62,12 +62,28 @@ def test_conv_out_extent(extent, stride, expected):
 
 # ---------------------------------------------------------------- conv3d
 
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("k", [1, 3])
-def test_conv3d_matches_direct_summation(stride, k):
+def gemm_form_cases(keys, spatial, cout):
+    """Each key on the given grid, then with C_out = 8 on a few voxels.
+
+    conv3d picks its GEMM form from shapes: the given grids take the
+    per-tap form, the few-voxel ones (odd extents included) the stacked one.
+    """
+    cases = []
+    for key in keys:
+        tag = "-".join(map(str, key))
+        cases.append(pytest.param(*key, spatial, cout, id=tag))
+        for few in ((1, 2, 1), (3, 1, 5)):
+            cases.append(pytest.param(
+                *key, few, 8, id=f"{tag}-{'x'.join(map(str, few))}-c8"))
+    return cases
+
+
+@pytest.mark.parametrize("k,stride,spatial,cout", gemm_form_cases(
+    [(k, s) for k in (1, 3) for s in (1, 2)], (4, 5, 3), 3))
+def test_conv3d_matches_direct_summation(k, stride, spatial, cout):
     rng = np.random.default_rng(20 + 10 * stride + k)
-    cin, cout = 2, 3
-    x = rng.standard_normal((cin, 4, 5, 3))
+    cin = 2
+    x = rng.standard_normal((cin, *spatial))
     w = rng.standard_normal((cout, cin, k, k, k))
     b = rng.standard_normal((cout,))
     got = conv3d(leaf(x), leaf(w), leaf(b), stride=stride)
@@ -125,12 +141,13 @@ def test_conv3d_rejects_bad_shapes(bad):
                leaf(np.zeros(bs)), stride=stride)
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv3d_gradients(stride):
+@pytest.mark.parametrize("stride,spatial,cout",
+                         gemm_form_cases([(1,), (2,)], (3, 4, 3), 2))
+def test_conv3d_gradients(stride, spatial, cout):
     rng = np.random.default_rng(7 + stride)
-    x = leaf(rng.standard_normal((2, 3, 4, 3)))
-    w = leaf(0.3 * rng.standard_normal((2, 2, 3, 3, 3)))
-    b = leaf(rng.standard_normal((2,)))
+    x = leaf(rng.standard_normal((2, *spatial)))
+    w = leaf(0.3 * rng.standard_normal((cout, 2, 3, 3, 3)))
+    b = leaf(rng.standard_normal((cout,)))
     probe = Tensor(rng.standard_normal(
         conv3d(x, w, b, stride=stride).shape), dtype=np.float64)
 
@@ -139,6 +156,36 @@ def test_conv3d_gradients(stride):
 
     res = check_gradients(fn, [x, w, b], "conv3d", sample=60, seed=11)
     assert res.passed, res
+
+
+def closure_arrays(fn):
+    """Base buffers of the arrays a backward closure keeps alive."""
+    for cell in fn.__closure__ or ():
+        try:
+            v = cell.cell_contents
+        except ValueError:  # a variable the taken branch never bound
+            continue
+        for a in v if isinstance(v, (list, tuple)) else (v,):
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                yield a
+
+
+@pytest.mark.parametrize("shape,cout,stride", [
+    ((3, 6, 7, 5), 4, 1), ((3, 7, 6, 5), 4, 2), ((3, 2, 2, 2), 16, 1)])
+def test_conv3d_tape_holds_no_columns(shape, cout, stride):
+    # the tape keeps the padded input, not a (C_in*k^3, V) column matrix
+    rng = np.random.default_rng(18)
+    x = leaf(rng.standard_normal(shape))
+    w = leaf(rng.standard_normal((cout, shape[0], 3, 3, 3)))
+    b = leaf(np.zeros(cout))
+    out = conv3d(x, w, b, stride=stride)
+    columns = shape[0] * 27 * int(np.prod(out.shape[1:]))
+    held = [a for a in closure_arrays(out._backward_fn)
+            if not any(a is t.data for t in (x, w, b))]
+    assert held
+    assert max(a.size for a in held) < columns
 
 
 # ---------------------------------------------------------------- dwconv1d

@@ -8,6 +8,8 @@ designed to give.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from mortonseg.checkpoint import (
     CheckpointError,
@@ -292,3 +294,29 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_bytes(wrong_version)
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(bad)
+
+
+# a high bit set in the first name byte ("b" at offset 16) is not utf-8
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(mutation=("flip", 16 * 8 + 7))
+@given(mutation=st.tuples(st.sampled_from(["cut", "flip"]),
+                          st.integers(0, 10_000)))
+def test_checkpoint_corruption_raises_only_checkpoint_error(tmp_path,
+                                                            mutation):
+    p = tmp_path / "x.mseg"
+    save_checkpoint(p, {"b": np.ones((1, 2), dtype=np.float32),
+                        "encoder.stage1.weight": np.arange(3.0)})
+    raw = bytearray(p.read_bytes())
+    kind, i = mutation
+    if kind == "cut":
+        raw = raw[:i % len(raw)]
+    else:
+        i %= 8 * len(raw)
+        raw[i // 8] ^= 1 << (i % 8)
+    p.write_bytes(bytes(raw))
+    try:
+        entries = load_checkpoint(p)
+    except CheckpointError:
+        return
+    assert all(isinstance(v, np.ndarray) for v in entries.values())
