@@ -67,14 +67,7 @@ def _parse_triple(text: str, what: str) -> tuple:
 
 def _parse_resolutions(text: str) -> list:
     # comma separates resolutions; 'x' separates extents within one
-    out = []
-    for token in (t for t in text.split(",") if t):
-        dims = token.split("x")
-        if len(dims) == 1:
-            dims = dims * 3
-        if len(dims) != 3:
-            raise ValueError(f"bad resolution '{token}'")
-        out.append(tuple(int(d) for d in dims))
+    out = [_parse_triple(t, "--resolutions") for t in text.split(",") if t]
     if not out:
         raise ValueError("no resolutions given")
     return out

@@ -94,13 +94,9 @@ def scan_direction_flops(length: int, e: int, n: int) -> int:
     return core + proj
 
 
-def bidirectional_block_flops(length: int, e: int, n: int,
-                              use_dwconv: bool = True) -> int:
-    total = 2 * scan_direction_flops(length, e, n)
-    if use_dwconv:
-        total += 2 * DWCONV_WIDTH * length * e
-    total += 4 * length * e
-    return total
+def bidirectional_block_flops(length: int, e: int, n: int) -> int:
+    return (2 * scan_direction_flops(length, e, n)
+            + 2 * DWCONV_WIDTH * length * e + 4 * length * e)
 
 
 def tri_orientation_block_flops(length: int, e: int, n: int) -> int:
@@ -116,10 +112,8 @@ def flops_estimate(cfg: NetConfig, resolution: tuple, placement: str) -> int:
     n = cfg.state_size
     total = 0
     if placement == "dual_resolution":
-        total += bidirectional_block_flops(_vox(grids[5]), ch[5], n,
-                                           cfg.use_dwconv)
-        total += bidirectional_block_flops(_vox(grids[3]), ch[3], n,
-                                           cfg.use_dwconv)
+        total += bidirectional_block_flops(_vox(grids[5]), ch[5], n)
+        total += bidirectional_block_flops(_vox(grids[3]), ch[3], n)
     else:
         for i, c in enumerate(ch):
             total += tri_orientation_block_flops(_vox(grids[i]), c, n)

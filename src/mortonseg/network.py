@@ -34,6 +34,13 @@ from .vq import (DEFAULT_COMMIT_WEIGHT, DEFAULT_DECAY, DEFAULT_LAPLACE_EPS,
 DICE_EPS = 1e-5
 FOREGROUND_CLASSES = (1, 2, 3)
 
+# keys that older net_config.json sidecars carry, each with the one value
+# this network implements; from_dict accepts them only at that value
+RETIRED_CONFIG_KEYS = {
+    "vq_decay": DEFAULT_DECAY, "vq_laplace_eps": DEFAULT_LAPLACE_EPS,
+    "commit_weight": DEFAULT_COMMIT_WEIGHT, "vq_on_skip": False,
+    "use_dwconv": True, "use_d_skip": True, "separate_reverse": False}
+
 
 @dataclass
 class NetConfig:
@@ -43,13 +50,6 @@ class NetConfig:
     state_size: int = 16
     vq_enabled: bool = True
     vq_k: int = 512
-    vq_decay: float = DEFAULT_DECAY
-    vq_laplace_eps: float = DEFAULT_LAPLACE_EPS
-    commit_weight: float = DEFAULT_COMMIT_WEIGHT
-    vq_on_skip: bool = False
-    use_dwconv: bool = True
-    use_d_skip: bool = True
-    separate_reverse: bool = False
 
     # stage strides: full, /2, /4, /8, /16, /16
     STRIDES = (1, 2, 2, 2, 2, 1)
@@ -70,6 +70,10 @@ class NetConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
         d = dict(d)
+        for key, fixed in RETIRED_CONFIG_KEYS.items():
+            if key in d and d.pop(key) != fixed:
+                raise ValueError(f"net config '{key}' must be {fixed!r}: "
+                                 "the network has no other setting")
         d["channels"] = tuple(d["channels"])
         return cls(**d)
 
@@ -87,12 +91,9 @@ def desk_config(**overrides) -> NetConfig:
 def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                   eps: float = 1e-5) -> Tensor:
     """Per-channel normalization over the spatial axes, affine."""
-    mu = T.tmean(x, axis=(1, 2, 3), keepdims=True)
-    xc = T.sub(x, mu)
-    var = T.tmean(T.mul(xc, xc), axis=(1, 2, 3), keepdims=True)
-    xn = T.div(xc, T.tsqrt(T.add(var, eps)))
     c = x.shape[0]
-    return T.add(T.mul(xn, T.reshape(gamma, (c, 1, 1, 1))),
+    return T.add(T.mul(T.layer_norm(x, axis=(1, 2, 3), eps=eps),
+                       T.reshape(gamma, (c, 1, 1, 1))),
                  T.reshape(beta, (c, 1, 1, 1)))
 
 
@@ -119,24 +120,12 @@ class ConvBlock:
 
 
 def _named_ssm(p: SsmParams, prefix: str) -> dict:
-    out = {}
-
-    def scan_entries(s, pre):
-        e = {f"{pre}.a_log": s.a_log, f"{pre}.w_b": s.w_b,
-             f"{pre}.w_c": s.w_c, f"{pre}.w_delta": s.w_delta,
-             f"{pre}.b_delta": s.b_delta}
-        if s.d_skip is not None:
-            e[f"{pre}.d_skip"] = s.d_skip
-        return e
-
-    out.update(scan_entries(p.scan, f"{prefix}.scan"))
-    if p.scan_rev is not None:
-        out.update(scan_entries(p.scan_rev, f"{prefix}.scan_rev"))
-    out[f"{prefix}.theta"] = p.theta
-    if p.conv_w is not None:
-        out[f"{prefix}.conv_w"] = p.conv_w
-        out[f"{prefix}.conv_b"] = p.conv_b
-    return out
+    s = p.scan
+    return {f"{prefix}.scan.a_log": s.a_log, f"{prefix}.scan.w_b": s.w_b,
+            f"{prefix}.scan.w_c": s.w_c, f"{prefix}.scan.w_delta": s.w_delta,
+            f"{prefix}.scan.b_delta": s.b_delta,
+            f"{prefix}.scan.d_skip": s.d_skip, f"{prefix}.theta": p.theta,
+            f"{prefix}.conv_w": p.conv_w, f"{prefix}.conv_b": p.conv_b}
 
 
 @dataclass
@@ -163,12 +152,8 @@ class Model:
                              ConvBlock(rng, c, c, dtype=dtype)))
             cin = c
 
-        self.skip_ssm = init_ssm_params(
-            rng, ch[3], cfg.state_size, cfg.use_dwconv, cfg.use_d_skip,
-            cfg.separate_reverse, dtype)
-        self.bot_ssm = init_ssm_params(
-            rng, ch[5], cfg.state_size, cfg.use_dwconv, cfg.use_d_skip,
-            cfg.separate_reverse, dtype)
+        self.skip_ssm = init_ssm_params(rng, ch[3], cfg.state_size, dtype)
+        self.bot_ssm = init_ssm_params(rng, ch[5], cfg.state_size, dtype)
 
         # decoder level i fuses with encoder stage i (1-based); level 5
         # works at the bottleneck resolution, so no upsample there
@@ -187,13 +172,8 @@ class Model:
         self.head_b = Tensor(np.zeros(cfg.num_classes),
                              requires_grad=True, dtype=dtype)
 
-        self.codebook = (make_codebook(rng, cfg.vq_k, ch[5], cfg.vq_decay,
-                                       cfg.vq_laplace_eps, dtype)
+        self.codebook = (make_codebook(rng, cfg.vq_k, ch[5], dtype=dtype)
                          if cfg.vq_enabled else None)
-        self.skip_codebook = (make_codebook(rng, cfg.vq_k, ch[3],
-                                            cfg.vq_decay, cfg.vq_laplace_eps,
-                                            dtype)
-                              if cfg.vq_enabled and cfg.vq_on_skip else None)
         self._vq_rng = make_rng(seed, 3)
         self._perms = {}
 
@@ -218,13 +198,13 @@ class Model:
 
     def state_dict(self) -> dict:
         out = {k: v.data for k, v in self.named_parameters().items()}
-        for name, cb in (("vq", self.codebook), ("vq_skip", self.skip_codebook)):
-            if cb is not None:
-                out[f"{name}.embeddings"] = cb.embeddings
-                out[f"{name}.ema_cluster_size"] = cb.ema_cluster_size
-                out[f"{name}.ema_embed_sum"] = cb.ema_embed_sum
-                out[f"{name}.initialized"] = np.array(
-                    [1.0 if cb.initialized else 0.0], dtype=np.float32)
+        cb = self.codebook
+        if cb is not None:
+            out["vq.embeddings"] = cb.embeddings
+            out["vq.ema_cluster_size"] = cb.ema_cluster_size
+            out["vq.ema_embed_sum"] = cb.ema_embed_sum
+            out["vq.initialized"] = np.array(
+                [1.0 if cb.initialized else 0.0], dtype=np.float32)
         return out
 
     def load_state_dict(self, entries: dict) -> None:
@@ -237,24 +217,21 @@ class Model:
                 raise ValueError(f"shape mismatch for '{k}': "
                                  f"{arr.shape} vs {t.shape}")
             t.data = np.ascontiguousarray(arr, dtype=t.data.dtype)
-        for name, cb in (("vq", self.codebook), ("vq_skip", self.skip_codebook)):
-            if cb is None:
-                continue
-            cb.embeddings = np.ascontiguousarray(
-                entries[f"{name}.embeddings"], dtype=cb.embeddings.dtype)
+        cb = self.codebook
+        if cb is not None:
+            dt = cb.embeddings.dtype
+            cb.embeddings = np.ascontiguousarray(entries["vq.embeddings"],
+                                                 dtype=dt)
             cb.ema_cluster_size = np.ascontiguousarray(
-                entries[f"{name}.ema_cluster_size"],
-                dtype=cb.embeddings.dtype)
+                entries["vq.ema_cluster_size"], dtype=dt)
             cb.ema_embed_sum = np.ascontiguousarray(
-                entries[f"{name}.ema_embed_sum"], dtype=cb.embeddings.dtype)
-            cb.initialized = bool(entries[f"{name}.initialized"][0] > 0.5)
+                entries["vq.ema_embed_sum"], dtype=dt)
+            cb.initialized = bool(entries["vq.initialized"][0] > 0.5)
 
     def param_count(self, include_codebook: bool = True) -> int:
         n = sum(t.size for t in self.parameters())
         if include_codebook and self.codebook is not None:
             n += self.codebook.embeddings.size
-        if include_codebook and self.skip_codebook is not None:
-            n += self.skip_codebook.embeddings.size
         return n
 
     def _perm(self, dims: tuple):
@@ -300,11 +277,6 @@ class Model:
             bot, commit, batch = self._quantize_map(bot, self.codebook)
             if train:
                 vq_batches.append(batch)
-        if self.skip_codebook is not None:
-            skip4, c2, batch = self._quantize_map(skip4, self.skip_codebook)
-            commit = T.add(commit, c2)
-            if train:
-                vq_batches.append(batch)
 
         skips = [e1, e2, e3, skip4, e5]
         h = bot
@@ -321,8 +293,7 @@ class Model:
                              vq_batches=vq_batches)
 
     def has_unseeded_codebooks(self) -> bool:
-        return any(cb is not None and not cb.initialized
-                   for cb in (self.codebook, self.skip_codebook))
+        return self.codebook is not None and not self.codebook.initialized
 
     def ema_step(self, result: ForwardResult) -> None:
         """Apply codebook EMA updates recorded during a training forward.
@@ -398,19 +369,13 @@ def ce_dice_loss(logits: Tensor, labels: np.ndarray,
 def soft_dice(logits_data: np.ndarray, labels: np.ndarray) -> float:
     """Mean foreground soft Dice of raw logits (no tape); eval helper.
 
-    Same squared-denominator form as the training loss, so train and
-    eval report the one definition.
+    Evaluated through ce_dice_loss, so train and eval report the one
+    definition.
     """
-    x = logits_data - logits_data.max(axis=0, keepdims=True)
-    e = np.exp(x)
-    p = e / e.sum(axis=0, keepdims=True)
-    oh = one_hot(labels, logits_data.shape[0], logits_data.dtype)
-    scores = []
-    for c in FOREGROUND_CLASSES:
-        inter = float((p[c] * oh[c]).sum())
-        size = float((p[c] ** 2).sum() + (oh[c] ** 2).sum())
-        scores.append((2.0 * inter + DICE_EPS) / (size + DICE_EPS))
-    return float(np.mean(scores))
+    with T.no_grad():
+        rep = ce_dice_loss(Tensor(logits_data, dtype=logits_data.dtype),
+                           labels)
+    return 1.0 - float(rep.dice_loss.data)
 
 
 def sliding_window_infer(model: Model, volume: np.ndarray, window: tuple,

@@ -56,9 +56,6 @@ class CaseRecord:
     labels: np.ndarray      # (X, Y, Z) uint8
     stats: CaseStats
 
-    def region_mask(self, label: int) -> np.ndarray:
-        return self.labels == label
-
 
 def compute_region_volumes(labels: np.ndarray) -> tuple[int, int, int]:
     return (int((labels == LABEL_ED).sum()), int((labels == LABEL_NCR).sum()),

@@ -18,8 +18,3 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     if seed < 0 or any(p < 0 for p in path):
         raise ValueError("seed and path entries must be non-negative")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *path))))
-
-
-def bernoulli(rng: np.random.Generator, p: float) -> bool:
-    """Single coin flip; consumes exactly one uniform draw."""
-    return bool(rng.random() < p)

@@ -52,39 +52,33 @@ class ScanParams:
     w_c: Tensor      # (E, N)
     w_delta: Tensor  # (E, E)
     b_delta: Tensor  # (E,)
-    d_skip: Tensor | None  # (E,) direct feedthrough, None disables
+    d_skip: Tensor   # (E,) direct feedthrough D
 
     def tensors(self) -> list[Tensor]:
-        out = [self.a_log, self.w_b, self.w_c, self.w_delta, self.b_delta]
-        if self.d_skip is not None:
-            out.append(self.d_skip)
-        return out
+        return [self.a_log, self.w_b, self.w_c, self.w_delta, self.b_delta,
+                self.d_skip]
 
 
 @dataclass
 class SsmParams:
-    """Full bidirectional block: scan params, gate, optional front conv.
+    """Full bidirectional block: one scan parameter set, gate, front conv.
 
-    scan_rev is None when both directions share one parameter set (the
-    default); a separate set is kept only for ablation runs.
+    The forward and reverse scans share ``scan``, so the reverse direction
+    adds no parameters.
     """
     scan: ScanParams
-    theta: Tensor                  # (E,) fusion gate, alpha = sigmoid(theta)
-    conv_w: Tensor | None = None   # (E, DWCONV_WIDTH) depthwise causal conv
-    conv_b: Tensor | None = None
-    scan_rev: ScanParams | None = None
+    theta: Tensor   # (E,) fusion gate, alpha = sigmoid(theta)
+    conv_w: Tensor  # (E, DWCONV_WIDTH) depthwise causal conv
+    conv_b: Tensor  # (E,)
 
     def tensors(self) -> list[Tensor]:
-        out = self.scan.tensors() + [self.theta]
-        if self.conv_w is not None:
-            out += [self.conv_w, self.conv_b]
-        if self.scan_rev is not None:
-            out += self.scan_rev.tensors()
-        return out
+        return self.scan.tensors() + [self.theta, self.conv_w, self.conv_b]
 
 
-def _init_scan(rng: np.random.Generator, e: int, n: int, use_d_skip: bool,
-               dtype) -> ScanParams:
+def init_ssm_params(rng: np.random.Generator, e: int, n: int,
+                    dtype=None) -> SsmParams:
+    dtype = dtype or T.get_default_dtype()
+    mk = lambda a: Tensor(a, requires_grad=True, dtype=dtype)
     # S4D-real initialization: per channel, state k decays at rate k+1
     a_log = np.tile(np.log(np.arange(1, n + 1, dtype=np.float64)), (e, 1))
     scale = e ** -0.5
@@ -93,28 +87,15 @@ def _init_scan(rng: np.random.Generator, e: int, n: int, use_d_skip: bool,
     w_delta = rng.normal(0.0, scale, size=(e, e))
     # bias chosen so initial step sizes land log-uniformly in [0.01, 0.1]
     dt = np.exp(rng.uniform(np.log(0.01), np.log(0.1), size=e))
-    b_delta = np.log(np.expm1(dt))
-    mk = lambda a: Tensor(a, requires_grad=True, dtype=dtype)
-    return ScanParams(
+    scan = ScanParams(
         a_log=mk(a_log), w_b=mk(w_b), w_c=mk(w_c), w_delta=mk(w_delta),
-        b_delta=mk(b_delta),
-        d_skip=mk(np.ones(e)) if use_d_skip else None)
-
-
-def init_ssm_params(rng: np.random.Generator, e: int, n: int,
-                    use_dwconv: bool = True, use_d_skip: bool = True,
-                    separate_reverse: bool = False, dtype=None) -> SsmParams:
-    dtype = dtype or T.get_default_dtype()
-    mk = lambda a: Tensor(a, requires_grad=True, dtype=dtype)
-    params = SsmParams(
-        scan=_init_scan(rng, e, n, use_d_skip, dtype),
+        b_delta=mk(np.log(np.expm1(dt))), d_skip=mk(np.ones(e)))
+    return SsmParams(
+        scan=scan,
         theta=mk(np.zeros(e)),  # sigmoid(0)=0.5: start as an even blend
-        conv_w=mk(rng.normal(0.0, DWCONV_WIDTH ** -0.5, size=(e, DWCONV_WIDTH)))
-        if use_dwconv else None,
-        conv_b=mk(np.zeros(e)) if use_dwconv else None,
-        scan_rev=_init_scan(rng, e, n, use_d_skip, dtype)
-        if separate_reverse else None)
-    return params
+        conv_w=mk(rng.normal(0.0, DWCONV_WIDTH ** -0.5,
+                             size=(e, DWCONV_WIDTH))),
+        conv_b=mk(np.zeros(e)))
 
 
 def linear_recurrence(delta: Tensor, a: Tensor, b: Tensor, s: Tensor,
@@ -215,9 +196,7 @@ def selective_scan(seq: Tensor, p: ScanParams, direction: str = "forward") -> Te
     y = linear_recurrence(
         T.reshape(delta, (ln, e, 1)), T.reshape(a, (1, e, n)),
         T.reshape(b, (ln, 1, n)), T.reshape(seq, (ln, e, 1)), c)
-    if p.d_skip is not None:
-        y = T.add(y, T.mul(seq, p.d_skip))
-    return y
+    return T.add(y, T.mul(seq, p.d_skip))
 
 
 def gated_fusion(y_fwd: Tensor, y_rev: Tensor, theta: Tensor) -> Tensor:
@@ -231,16 +210,16 @@ def gated_fusion(y_fwd: Tensor, y_rev: Tensor, theta: Tensor) -> Tensor:
 def bidir_scan_block(feat3d: Tensor, p: SsmParams, perm: MortonPermutation) -> Tensor:
     """Bidirectional Morton-sequence scan over a (C, X, Y, Z) block.
 
-    gather -> layer norm -> [causal depthwise conv + silu] -> forward and
-    reverse scans -> gated fusion -> scatter -> residual add. Zero input
-    maps to zero before the residual (norm, conv bias and projections all
-    vanish at the origin), so the block starts near identity.
+    gather -> layer norm -> causal depthwise conv + silu -> forward and
+    reverse scans with the one shared parameter set -> gated fusion ->
+    scatter -> residual add. Zero input maps to zero before the residual
+    (norm, conv bias and projections all vanish at the origin), so the
+    block starts near identity.
     """
     seq = gather_sequence(feat3d, perm)
-    x = T.layer_norm(seq, axis=-1)
-    if p.conv_w is not None:
-        x = T.silu(dwconv1d_causal(x, p.conv_w, p.conv_b))
+    x = T.silu(dwconv1d_causal(T.layer_norm(seq, axis=-1), p.conv_w,
+                               p.conv_b))
     y_fwd = selective_scan(x, p.scan, "forward")
-    y_rev = selective_scan(x, p.scan_rev or p.scan, "reverse")
+    y_rev = selective_scan(x, p.scan, "reverse")
     fused = gated_fusion(y_fwd, y_rev, p.theta)
     return T.add(scatter_back(fused, perm), feat3d)

@@ -522,7 +522,8 @@ def log_softmax(a: Tensor, axis: int = 0) -> Tensor:
     return sub(shifted, tlog(tsum(texp(shifted), axis=axis, keepdims=True)))
 
 
-def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, axis: int | tuple = -1,
+               eps: float = 1e-5) -> Tensor:
     """Normalize to zero mean / unit variance along `axis` (no affine)."""
     mu = tmean(a, axis=axis, keepdims=True)
     centered = sub(a, mu)

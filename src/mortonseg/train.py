@@ -17,7 +17,7 @@ import numpy as np
 from .network import Model, ce_dice_loss
 from .phantom import CaseRecord, normalize_modalities
 from .rng import make_rng
-from .tensor import NumericalError, Tensor, add as T_add, mul as T_mul
+from .tensor import NumericalError, Tensor
 
 _STEP_STREAM = 1
 
@@ -126,52 +126,30 @@ class TrainResult:
 def train(model: Model, cases: list, steps: int, lr: float = 1e-4,
           weight_decay: float = 1e-4, seed: int = 0, augment: bool = True,
           optimizer: AdamW | None = None, start_step: int = 0,
-          batch_size: int = 1, log=None) -> tuple[TrainResult, AdamW]:
+          log=None) -> tuple[TrainResult, AdamW]:
     """Run optimizer steps start_step .. start_step+steps-1.
 
-    cases are CaseRecords; each optimizer step averages the loss over
-    batch_size cases chosen by the step stream (without replacement, so
-    batch_size == len(cases) is full-batch gradient descent). Raises
-    NumericalError (with the offending step) if the loss goes
-    non-finite. Returns the per-step loss log and the optimizer, whose
-    state a caller can serialize next to the model for exact resume.
+    cases are CaseRecords; each optimizer step trains on one case chosen
+    by the step stream. Raises NumericalError (with the offending step)
+    if the loss goes non-finite. Returns the per-step loss log and the
+    optimizer, whose state a caller can serialize next to the model for
+    exact resume.
     """
     if not cases:
         raise ValueError("empty dataset")
-    if not 1 <= batch_size <= len(cases):
-        raise ValueError(f"batch_size {batch_size} outside 1..{len(cases)}")
     opt = optimizer or AdamW(model.parameters(), lr=lr,
                              weight_decay=weight_decay)
     losses = []
     for step in range(start_step, start_step + steps):
         rng = make_rng(seed, _STEP_STREAM, step)
-        if batch_size == 1:
-            idxs = [int(rng.integers(0, len(cases)))]
-        else:
-            idxs = [int(i) for i in
-                    rng.choice(len(cases), size=batch_size, replace=False)]
-        totals, results, comps = [], [], []
-        for ci in idxs:
-            case: CaseRecord = cases[ci]
-            # normalize first so intensity augmentation is not undone by it
-            x, labs = normalize_modalities(case.modalities), case.labels
-            if augment:
-                x, labs = augment_case(x, labs, rng)
-            result = model.forward(Tensor(x), train=True)
-            report = ce_dice_loss(result.logits, labs, result.commit_loss,
-                                  model.cfg.commit_weight)
-            totals.append(report.total)
-            results.append(result)
-            comps.append(report.floats())
-
-        total = totals[0]
-        for t in totals[1:]:
-            total = T_add(total, t)
-        if len(totals) > 1:
-            total = T_mul(total, 1.0 / len(totals))
-        row = {"step": step}
-        for key in comps[0]:
-            row[key] = float(np.mean([c[key] for c in comps]))
+        case: CaseRecord = cases[int(rng.integers(0, len(cases)))]
+        # normalize first so intensity augmentation is not undone by it
+        x, labs = normalize_modalities(case.modalities), case.labels
+        if augment:
+            x, labs = augment_case(x, labs, rng)
+        result = model.forward(Tensor(x), train=True)
+        report = ce_dice_loss(result.logits, labs, result.commit_loss)
+        row = {"step": step, **report.floats()}
         if not np.isfinite(row["total"]):
             raise NumericalError(f"non-finite loss at step {step}: {row}")
         losses.append(row)
@@ -179,9 +157,8 @@ def train(model: Model, cases: list, steps: int, lr: float = 1e-4,
             log(row)
 
         opt.zero_grad()
-        total.backward()
-        for result in results:
-            model.ema_step(result)
+        report.total.backward()
+        model.ema_step(result)
         opt.step()
     return TrainResult(losses=losses, final_step=start_step + steps), opt
 

@@ -3,13 +3,15 @@
 Layout: one UTF-8 JSON object on the first line holding dims, dtype
 ("f32" or "u8"), spacing and a free-form name, terminated by b"\\n\\x00",
 followed by exactly prod(dims) scalars little-endian in row-major order.
-Reads validate the fence, the dtype tag and the byte count, so truncated
-or foreign files fail loudly instead of yielding partial data.
+Reads validate the fence, the header fields, the dtype tag and the byte
+count, so truncated or foreign files fail loudly, always as
+VolumeFormatError, instead of yielding partial data.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,15 +53,21 @@ def read_volume(path) -> tuple[np.ndarray, dict]:
         meta = json.loads(raw[:cut].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise VolumeFormatError(f"{path}: bad header ({e})") from None
+    if not isinstance(meta, dict):
+        raise VolumeFormatError(f"{path}: header is not a JSON object")
     for key in ("dims", "dtype", "spacing", "name"):
         if key not in meta:
             raise VolumeFormatError(f"{path}: header lacks '{key}'")
-    if meta["dtype"] not in _DTYPES:
+    dt = _DTYPES.get(meta["dtype"]) if isinstance(meta["dtype"], str) else None
+    if dt is None:
         raise VolumeFormatError(f"{path}: unknown dtype tag {meta['dtype']!r}")
-    dims = tuple(int(d) for d in meta["dims"])
-    dt = _DTYPES[meta["dtype"]]
+    dims = meta["dims"]
+    if not (isinstance(dims, list) and len(dims) == 3
+            and all(type(d) is int and d >= 0 for d in dims)):
+        raise VolumeFormatError(f"{path}: dims {dims!r} are not three "
+                                "non-negative integers")
     body = raw[cut + len(_FENCE):]
-    expected = int(np.prod(dims)) * dt.itemsize
+    expected = math.prod(dims) * dt.itemsize
     if len(body) != expected:
         raise VolumeFormatError(
             f"{path}: buffer holds {len(body)} bytes, header implies "

@@ -18,7 +18,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-DEFAULT_K = 512
 DEFAULT_DECAY = 0.99
 DEFAULT_LAPLACE_EPS = 1e-5
 DEFAULT_COMMIT_WEIGHT = 0.25

@@ -138,8 +138,7 @@ def test_04_reverse_scan_equals_flip_scan_flip_bit_exact():
         ln = int(rng.integers(2, 48))
         e = int(rng.integers(1, 7))
         n = int(rng.integers(1, 6))
-        p = init_ssm_params(rng, e, n, use_dwconv=False,
-                            dtype=np.float64).scan
+        p = init_ssm_params(rng, e, n, dtype=np.float64).scan
         seq = Tensor(rng.normal(0.0, 1.0, size=(ln, e)), dtype=np.float64)
         rev = selective_scan(seq, p, "reverse")
         flipped = T.flip(

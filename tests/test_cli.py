@@ -15,6 +15,7 @@ import pytest
 from mortonseg.analysis import EvalRecord, write_eval_csv
 from mortonseg.cli import main
 from mortonseg.folds import load_folds
+from mortonseg.network import RETIRED_CONFIG_KEYS
 from mortonseg.phantom import load_dataset
 
 
@@ -200,6 +201,26 @@ def test_eval_corrupt_checkpoint_name_is_io_error(work, dataset, trained):
                  "--out", str(work / "s3")]) == 3
 
 
+def test_eval_reads_sidecar_with_retired_keys(work, dataset, trained):
+    # a run directory whose net_config.json still carries the retired keys
+    old = work / "old_run"
+    old.mkdir()
+    (old / "checkpoint.mseg").write_bytes(
+        (trained / "checkpoint.mseg").read_bytes())
+    cfg = json.loads((trained / "net_config.json").read_text())
+    cfg.update(RETIRED_CONFIG_KEYS)
+    assert len(cfg) == 13
+    (old / "net_config.json").write_text(json.dumps(cfg))
+    args = ["eval", "--checkpoint", str(old / "checkpoint.mseg"),
+            "--data", str(dataset)]
+    assert main(args + ["--out", str(work / "s_old")]) == 0
+    # any other value asks for a network this package does not build
+    for key, fixed in RETIRED_CONFIG_KEYS.items():
+        other = not fixed if isinstance(fixed, bool) else 2 * fixed
+        (old / "net_config.json").write_text(json.dumps({**cfg, key: other}))
+        assert main(args + ["--out", str(work / f"s_{key}")]) == 1
+
+
 # ---------------------------------------------------------------- analyze
 
 def make_records(n=25):
@@ -262,6 +283,11 @@ def test_bench_rejects_bad_resolution(work):
                  "--out", str(work / "b2")]) == 1
     assert main(["bench", "--resolutions", "64x64",
                  "--out", str(work / "b3")]) == 1
+    for i, res in enumerate(["0", "32x0x16", "-16", "64,0"]):
+        out = work / f"b_nonpositive{i}"
+        assert main(["bench", f"--resolutions={res}",
+                     "--out", str(out)]) == 1
+        assert not (out / "flops.csv").exists()
 
 
 # ---------------------------------------------------------------- gradcheck

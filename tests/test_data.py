@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from mortonseg.analysis import (
     EvalRecord,
@@ -41,7 +43,7 @@ from mortonseg.phantom import (
     normalize_modalities,
     save_case,
 )
-from mortonseg.rng import bernoulli, make_rng
+from mortonseg.rng import make_rng
 from mortonseg.volume_io import VolumeFormatError, read_volume, write_volume
 
 
@@ -62,14 +64,6 @@ def test_make_rng_rejects_negative():
         make_rng(-1)
     with pytest.raises(ValueError):
         make_rng(0, -2)
-
-
-def test_bernoulli_consumes_one_draw():
-    r1 = make_rng(5)
-    r2 = make_rng(5)
-    bernoulli(r1, 0.5)
-    r2.random()
-    assert r1.random() == r2.random()
 
 
 # ---------------------------------------------------------------- volume_io
@@ -150,6 +144,61 @@ def test_volume_read_rejects_missing_key(tmp_path):
     p.write_bytes(header + b"\n\x00" + b"\x00")
     with pytest.raises(VolumeFormatError, match="spacing"):
         read_volume(p)
+
+
+def _header(**fields):
+    meta = {"dims": [1, 1, 1], "dtype": "u8", "spacing": [1, 1, 1],
+            "name": ""}
+    meta.update(fields)
+    return json.dumps(meta).encode()
+
+
+@pytest.mark.parametrize("header, body", [
+    (b"5", b""),                                   # not an object
+    (_header(dims=["a"]), b"\x00"),
+    (_header(dims=[2, 2]), b"\x00" * 4),            # not three extents
+    (_header(dims=[2 ** 32, 2 ** 32, 1]), b""),    # wraps an int64 product
+    (_header(dims=[-2, -2, 1]), b"\x00" * 4),
+    (_header(dims=[1.5, 2, 1]), b"\x00" * 3),
+    (_header(dtype=["u8"]), b"\x00"),               # unhashable tag
+], ids=["scalar", "string-dim", "two-dims", "wrap", "negative", "float",
+        "list-dtype"])
+def test_volume_read_rejects_bad_header_fields(tmp_path, header, body):
+    p = tmp_path / "v.vol"
+    p.write_bytes(header + b"\n\x00" + body)
+    with pytest.raises(VolumeFormatError):
+        read_volume(p)
+
+
+# the empty volume's leading "0" sits at offset 10; 0 -> 8 makes the
+# extents multiply to 2**65, which an int64 product wraps back to 0
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(empty=True, mutation=("flip", 10 * 8 + 3))
+@given(empty=st.booleans(),
+       mutation=st.tuples(st.sampled_from(["cut", "flip"]),
+                          st.integers(0, 10_000)))
+def test_volume_corruption_raises_only_volume_format_error(tmp_path, empty,
+                                                           mutation):
+    p = tmp_path / "v.vol"
+    if empty:
+        write_volume(p, np.zeros((0, 2 ** 31, 2 ** 31), np.uint8))
+    else:
+        write_volume(p, np.arange(12, dtype=np.float32).reshape(2, 3, 2),
+                     name="t1")
+    raw = bytearray(p.read_bytes())
+    kind, i = mutation
+    if kind == "cut":
+        raw = raw[:i % len(raw)]
+    else:
+        i %= 8 * len(raw)
+        raw[i // 8] ^= 1 << (i % 8)
+    p.write_bytes(bytes(raw))
+    try:
+        vol, _ = read_volume(p)
+    except VolumeFormatError:
+        return
+    assert vol.ndim == 3
 
 
 # ---------------------------------------------------------------- phantom

@@ -61,8 +61,6 @@ def test_block_flops_hand_cases():
     assert DWCONV_WIDTH == 4
     assert bidirectional_block_flops(5, 3, 2) == (
         2 * one_dir + 2 * 4 * 5 * 3 + 4 * 5 * 3)
-    assert bidirectional_block_flops(5, 3, 2, use_dwconv=False) == (
-        2 * one_dir + 4 * 5 * 3)
     assert tri_orientation_block_flops(5, 3, 2) == 3 * one_dir + 6 * 5 * 3
 
 

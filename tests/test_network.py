@@ -13,6 +13,7 @@ from mortonseg import tensor as T
 from mortonseg.network import (
     DICE_EPS,
     FOREGROUND_CLASSES,
+    RETIRED_CONFIG_KEYS,
     Model,
     NetConfig,
     ce_dice_loss,
@@ -25,7 +26,7 @@ from mortonseg.network import (
 )
 from mortonseg.tensor import Tensor
 
-FULL_PARAMS = 26_522_644       # includes both codebook tables
+FULL_PARAMS = 26_522_644       # includes the codebook table
 FULL_PARAMS_NO_CB = 26_260_500
 DESK_PARAMS = 1_658_504
 
@@ -58,13 +59,30 @@ def test_config_roundtrip_and_overrides():
     assert desk_config().channels == (4, 8, 16, 32, 64, 128)
 
 
+def test_config_fields_are_the_six_settable_ones():
+    assert list(NetConfig().to_dict()) == [
+        "in_channels", "num_classes", "channels", "state_size",
+        "vq_enabled", "vq_k"]
+
+
+def test_config_loads_sidecar_with_retired_keys():
+    # a sidecar written before the retired keys went: all 13 keys, each
+    # retired one at the value the network still implements
+    old = {**desk_config().to_dict(), **RETIRED_CONFIG_KEYS}
+    assert len(old) == 13
+    assert NetConfig.from_dict(old) == desk_config()
+    for key, fixed in RETIRED_CONFIG_KEYS.items():
+        other = not fixed if isinstance(fixed, bool) else 2 * fixed
+        with pytest.raises(ValueError, match=key):
+            NetConfig.from_dict({**old, key: other})
+
+
 # ---------------------------------------------------------------- params
 
 def shape_oracle_count(model):
     n = sum(int(np.prod(t.shape)) for t in model.named_parameters().values())
-    for cb in (model.codebook, model.skip_codebook):
-        if cb is not None:
-            n += int(np.prod(cb.embeddings.shape))
+    if model.codebook is not None:
+        n += int(np.prod(model.codebook.embeddings.shape))
     return n
 
 
@@ -258,15 +276,7 @@ def test_vq_disabled_drops_commit():
     out = m.forward(x, train=True)
     assert out.commit_loss is None
     assert out.vq_batches == []
-    assert m.codebook is None and m.skip_codebook is None
-
-
-def test_vq_on_skip_adds_second_codebook():
-    m = Model(tiny_config(vq_on_skip=True), seed=0)
-    assert m.skip_codebook is not None
-    x = np.random.default_rng(10).standard_normal((4, 32, 32, 32)).astype(np.float32)
-    out = m.forward(x, train=True)
-    assert len(out.vq_batches) == 2
+    assert m.codebook is None
 
 
 def test_ema_step_seeds_codebook_then_updates():

@@ -13,9 +13,9 @@ from mortonseg.ssm import (SCAN_CHUNK, ScanParams, bidir_scan_block,
 from mortonseg.tensor import NumericalError, Tensor
 
 
-def f64_params(rng, e, n, **kw):
+def f64_params(rng, e, n):
     with T.default_dtype(np.float64):
-        return init_ssm_params(rng, e, n, **kw)
+        return init_ssm_params(rng, e, n)
 
 
 def rand_seq(rng, ln, e):
@@ -27,7 +27,7 @@ def naive_scan_oracle(seq: np.ndarray, p: ScanParams) -> np.ndarray:
     ln, e = seq.shape
     n = p.a_log.shape[1]
     a = -np.exp(p.a_log.data)
-    d = p.d_skip.data if p.d_skip is not None else np.zeros(e)
+    d = p.d_skip.data
     y = np.zeros((ln, e))
     h = np.zeros((e, n))
     for k in range(ln):
@@ -178,7 +178,8 @@ def test_scan_matches_oracle_across_chunks():
 
 def test_scan_oracle_without_d_skip():
     rng = make_rng(43)
-    p = f64_params(rng, 3, 2, use_d_skip=False).scan
+    p = f64_params(rng, 3, 2).scan
+    p.d_skip.data[:] = 0.0
     seq = rand_seq(rng, 5, 3)
     out = selective_scan(seq, p, "forward")
     assert np.allclose(out.data, naive_scan_oracle(seq.data, p),
@@ -383,13 +384,3 @@ def test_init_invariants():
     alpha = 1.0 / (1.0 + np.exp(-p.theta.data))
     assert np.all((alpha > 0) & (alpha < 1))
     assert p.conv_w.shape == (8, 4)
-
-
-def test_init_flags_control_structure():
-    rng = make_rng(59)
-    p = f64_params(rng, 4, 2, use_dwconv=False, use_d_skip=False,
-                   separate_reverse=True)
-    assert p.conv_w is None and p.conv_b is None
-    assert p.scan.d_skip is None
-    assert p.scan_rev is not None
-    assert len(p.tensors()) == 2 * 5 + 1

@@ -207,19 +207,6 @@ def test_train_validates_inputs():
     model = tiny_model()
     with pytest.raises(ValueError):
         train(model, [], steps=1)
-    cases = tiny_cases(2)
-    with pytest.raises(ValueError):
-        train(model, cases, steps=1, batch_size=0)
-    with pytest.raises(ValueError):
-        train(model, cases, steps=1, batch_size=3)
-
-
-def test_train_full_batch_runs():
-    cases = tiny_cases(2)
-    res, _ = train(tiny_model(seed=2), cases, steps=2, lr=1e-3, seed=1,
-                   batch_size=2)
-    assert len(res.losses) == 2
-    assert all(np.isfinite(r["total"]) for r in res.losses)
 
 
 def test_train_aborts_on_nonfinite_loss():
