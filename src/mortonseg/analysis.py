@@ -127,8 +127,3 @@ def write_rows_csv(path, rows: list[dict]) -> None:
         for row in rows:
             w.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
                         for k, v in row.items()})
-
-
-def read_rows_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))

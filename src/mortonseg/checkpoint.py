@@ -72,6 +72,12 @@ def load_checkpoint(path) -> dict:
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         n = math.prod(shape)  # exact, where an int64 product would wrap
+        # numpy refuses any shape whose nonzero extents overflow intp
+        # bytes, even one that holds no element
+        if math.prod(d for d in shape if d) * 4 > np.iinfo(np.intp).max:
+            raise CheckpointError(
+                f"{path}: entry '{name}' extents {shape} exceed the "
+                "address space")
         buf = take(4 * n)
         entries[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
     if off != len(raw):

@@ -29,6 +29,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .checksuite import run_suite
 from .flops import bench_rows
 from .folds import build_systematic_folds, load_folds, save_folds
+from .gradcheck import Sabotage
 from .metrics import evaluate_case, write_reports_csv
 from .network import (Model, NetConfig, desk_config, full_config,
                       sliding_window_infer)
@@ -120,11 +121,14 @@ def _net_config(preset: str | None, checkpoint: str | None = None) -> NetConfig:
 
 def cmd_gradcheck(args) -> int:
     if args.sabotage:
-        T._sabotaged_op = args.sabotage
-    try:
+        sabotage = Sabotage(args.sabotage)
+        with T.op_hook(sabotage):
+            results = run_suite(op_filter=args.op, seed=args.seed)
+        if not sabotage.wrapped:
+            raise ValueError(f"--sabotage {args.sabotage!r}: the checks "
+                             "recorded no op of that name")
+    else:
         results = run_suite(op_filter=args.op, seed=args.seed)
-    finally:
-        T._sabotaged_op = None
     for r in results:
         print(r)
     n_bad = sum(not r.passed for r in results)
@@ -379,7 +383,8 @@ def _bench_svg(rows) -> str:
                  f'text-anchor="middle">input resolution</text>')
     parts.append(f'<text x="16" y="{height / 2}" font-size="12" '
                  f'text-anchor="middle" transform="rotate(-90 16 '
-                 f'{height / 2})">scan+conv FLOPs (log scale)</text>')
+                 f'{height / 2})">scan placement FLOPs, backbone excluded '
+                 '(log scale)</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

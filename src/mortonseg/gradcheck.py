@@ -10,6 +10,9 @@ finite-difference noise floor.
 For large parameter tensors, checking every coordinate is wasteful;
 ``sample`` coordinates are drawn without replacement from a seeded stream
 so failures reproduce exactly.
+
+``Sabotage`` is the checker's own proof: installed as a tape hook, it
+flips the sign of one op's backward rule, which the checker must catch.
 """
 
 from __future__ import annotations
@@ -41,6 +44,25 @@ class GradCheckResult:
         status = "ok" if self.passed else "FAIL"
         return (f"[{status}] {self.name}: rel={self.max_rel_error:.3e} "
                 f"abs={self.max_abs_error:.3e} ({self.n_checked} coords)")
+
+
+class Sabotage:
+    """Op hook that sign-flips the backward rule of every recorded `op`.
+
+    ``wrapped`` counts the ops it flipped, so a run that never recorded
+    the named op can be told apart from one the checker passed.
+    """
+
+    def __init__(self, op: str):
+        self.op = op
+        self.wrapped = 0
+
+    def __call__(self, op, out, parents, backward_fn):
+        if op != self.op or not out.requires_grad:
+            return backward_fn
+        self.wrapped += 1
+        return lambda g: tuple(None if gi is None else -gi
+                               for gi in backward_fn(g))
 
 
 def central_difference(f, x: np.ndarray, coord: tuple, eps: float) -> float:

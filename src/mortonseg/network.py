@@ -17,7 +17,7 @@ All learnable arrays live in named Tensors; `state_dict` collects them
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .rng import make_rng
 from .ssm import SsmParams, bidir_scan_block, init_ssm_params
 from .tensor import Tensor
 from .vq import (DEFAULT_COMMIT_WEIGHT, DEFAULT_DECAY, DEFAULT_LAPLACE_EPS,
-                 Codebook, ema_update, init_from_batch, make_codebook,
-                 quantize)
+                 ema_update, init_from_batch, make_codebook, quantize)
 
 DICE_EPS = 1e-5
 FOREGROUND_CLASSES = (1, 2, 3)
@@ -132,7 +131,7 @@ def _named_ssm(p: SsmParams, prefix: str) -> dict:
 class ForwardResult:
     logits: Tensor
     commit_loss: Tensor | None           # None when VQ is off
-    vq_batches: list = field(default_factory=list)  # (codebook, tokens, indices)
+    vq_batch: tuple | None = None        # (tokens, indices) of a train forward
 
 
 class Model:
@@ -241,14 +240,14 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def _quantize_map(self, feat: Tensor, cb: Codebook):
+    def _quantize_map(self, feat: Tensor):
         """VQ a (C, X, Y, Z) map voxel-wise; returns (map, commit, batch)."""
         c = feat.shape[0]
         spatial = feat.shape[1:]
         tokens = T.transpose(T.reshape(feat, (c, int(np.prod(spatial)))), (1, 0))
-        res = quantize(tokens, cb)
+        res = quantize(tokens, self.codebook)
         qmap = T.reshape(T.transpose(res.quantized, (1, 0)), (c,) + spatial)
-        batch = (cb, tokens.data.copy(), res.indices)
+        batch = (tokens.data.copy(), res.indices)
         return qmap, res.commit_loss, batch
 
     def forward(self, x, train: bool = False) -> ForwardResult:
@@ -271,12 +270,11 @@ class Model:
         skip4 = bidir_scan_block(e4, self.skip_ssm, self._perm(e4.shape[1:]))
         bot = bidir_scan_block(e6, self.bot_ssm, self._perm(e6.shape[1:]))
 
-        commit = None
-        vq_batches = []
+        commit = vq_batch = None
         if self.codebook is not None:
-            bot, commit, batch = self._quantize_map(bot, self.codebook)
+            bot, commit, batch = self._quantize_map(bot)
             if train:
-                vq_batches.append(batch)
+                vq_batch = batch
 
         skips = [e1, e2, e3, skip4, e5]
         h = bot
@@ -290,22 +288,21 @@ class Model:
 
         logits = conv3d(h, self.head_w, self.head_b, stride=1)
         return ForwardResult(logits=logits, commit_loss=commit,
-                             vq_batches=vq_batches)
-
-    def has_unseeded_codebooks(self) -> bool:
-        return self.codebook is not None and not self.codebook.initialized
+                             vq_batch=vq_batch)
 
     def ema_step(self, result: ForwardResult) -> None:
-        """Apply codebook EMA updates recorded during a training forward.
+        """Apply the codebook EMA update recorded during a training forward.
 
         An unseeded codebook is initialized from the recorded tokens
         (data-dependent init); a seeded one takes a normal EMA update.
         """
-        for cb, tokens, indices in result.vq_batches:
-            if not cb.initialized:
-                init_from_batch(cb, tokens, self._vq_rng)
-            else:
-                ema_update(cb, tokens, indices)
+        if result.vq_batch is None:
+            return
+        tokens, indices = result.vq_batch
+        if not self.codebook.initialized:
+            init_from_batch(self.codebook, tokens, self._vq_rng)
+        else:
+            ema_update(self.codebook, tokens, indices)
 
 
 # -- loss --------------------------------------------------------------------
@@ -351,8 +348,8 @@ def ce_dice_loss(logits: Tensor, labels: np.ndarray,
     ce = T.neg(T.tmean(T.tsum(T.mul(logp, Tensor(oh, dtype=oh.dtype)), axis=0)))
 
     p = T.texp(logp)
-    fg = list(FOREGROUND_CLASSES)
-    p_fg = T.take(p, fg, axis=0)
+    fg = slice(FOREGROUND_CLASSES[0], FOREGROUND_CLASSES[-1] + 1)  # contiguous
+    p_fg = T.narrow(p, fg.start, fg.stop, axis=0)
     g_fg = Tensor(oh[fg], dtype=oh.dtype)
     inter = T.tsum(T.mul(p_fg, g_fg), axis=(1, 2, 3))
     sizes = T.add(T.tsum(T.mul(p_fg, p_fg), axis=(1, 2, 3)),

@@ -14,6 +14,11 @@ Gradient policy: ``backward()`` may be called more than once on the same
 graph; each call re-runs the recorded closures, which are deterministic,
 so repeated passes (after zeroing grads) are bit-identical. Gradients
 accumulate, callers zero them between optimization steps.
+
+Every op is built by ``Tensor._make``, and ``op_hook`` is its one
+extension point: a hook sees each op as it is built and may wrap the
+backward closure that gets recorded. ``check_finite`` is such a hook.
+``no_grad`` is the only other global switch.
 """
 
 from __future__ import annotations
@@ -24,11 +29,8 @@ import numpy as np
 
 _default_dtype = np.float32
 _grad_enabled = True
-_finite_checks = False
-
-# Test hook: name of an op whose backward rule is sign-flipped, used by the
-# gradcheck sabotage test to prove the checker catches a wrong rule.
-_sabotaged_op: str | None = None
+# called in order as hook(op, out, parents, backward_fn) for every op built
+_op_hooks: list = []
 
 
 def set_default_dtype(dtype) -> None:
@@ -43,12 +45,6 @@ def get_default_dtype():
     return _default_dtype
 
 
-def set_finite_checks(enabled: bool) -> None:
-    """When enabled, every op output is checked for NaN/Inf and raises."""
-    global _finite_checks
-    _finite_checks = bool(enabled)
-
-
 @contextlib.contextmanager
 def no_grad():
     """Disable tape recording inside the block (pure numerical forward)."""
@@ -59,6 +55,22 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextlib.contextmanager
+def op_hook(hook):
+    """Call ``hook(op, out, parents, backward_fn)`` for every op in the block.
+
+    The hook returns the backward closure to record. It sees every op,
+    ``no_grad`` ones included; its return value is kept only when the op
+    is recorded on the tape (``out.requires_grad``). Hooks of nested
+    blocks run outermost first, each on the closure the previous returned.
+    """
+    _op_hooks.append(hook)
+    try:
+        yield
+    finally:
+        _op_hooks.remove(hook)
 
 
 @contextlib.contextmanager
@@ -75,15 +87,11 @@ class NumericalError(ArithmeticError):
     """A computation produced NaN/Inf, or a numerical check failed."""
 
 
-def broadcast_shape(sa: tuple, sb: tuple) -> tuple:
-    """Shape of a broadcast binary op; raises ValueError if incompatible."""
-    out = []
-    for a, b in zip((1,) * (len(sb) - len(sa)) + tuple(sa),
-                    (1,) * (len(sa) - len(sb)) + tuple(sb)):
-        if a != b and a != 1 and b != 1:
-            raise ValueError(f"shapes {sa} and {sb} are not broadcastable")
-        out.append(max(a, b))
-    return tuple(out)
+def check_finite(op: str, out: Tensor, parents: tuple, backward_fn):
+    """Op hook: raise NumericalError naming the op whose output has NaN/Inf."""
+    if not np.all(np.isfinite(out.data)):
+        raise NumericalError(f"non-finite values produced by op '{op}'")
+    return backward_fn
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -137,9 +145,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag}, op={self.op})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -147,8 +152,6 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple, backward_fn, op: str) -> "Tensor":
-        if _finite_checks and not np.all(np.isfinite(data)):
-            raise NumericalError(f"non-finite values produced by op '{op}'")
         out = Tensor.__new__(Tensor)
         data = np.asarray(data)
         out.data = np.ascontiguousarray(data) if data.ndim else data
@@ -156,12 +159,10 @@ class Tensor:
         needs = _grad_enabled and any(p.requires_grad for p in parents)
         out.requires_grad = needs
         out.op = op
+        for hook in _op_hooks:
+            backward_fn = hook(op, out, parents, backward_fn)
         if needs:
             out._parents = parents
-            if _sabotaged_op == op:
-                orig = backward_fn
-                backward_fn = lambda g: tuple(
-                    None if gi is None else -gi for gi in orig(g))
             out._backward_fn = backward_fn
         else:
             out._parents = ()
@@ -218,60 +219,6 @@ class Tensor:
                     flowing[key] = flowing[key] + pg
                 else:
                     flowing[key] = pg
-
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # method forms used throughout the package
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def flip(self, axis=0):
-        return flip(self, axis)
-
-    def take(self, indices, axis=0):
-        return take(self, indices, axis)
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -332,14 +279,6 @@ def div(a, b) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     return Tensor._make(-a.data, (a,), lambda g: (-g,), "neg")
-
-
-def power(a: Tensor, p) -> Tensor:
-    """Elementwise a**p for a scalar (non-tensor) exponent."""
-    p = float(p)
-    ad = a.data
-    out = ad ** p
-    return Tensor._make(out, (a,), lambda g: (g * p * ad ** (p - 1.0),), "pow")
 
 
 # -- elementwise unary ops -------------------------------------------------
@@ -479,19 +418,17 @@ def flip(a: Tensor, axis: int = 0) -> Tensor:
         lambda g: (np.flip(g, axis=axis).copy(),), "flip")
 
 
-def take(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Gather along an axis; backward scatter-adds (handles repeats)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    axis = axis % a.ndim
+def narrow(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
+    """The basic slice start:stop along an axis; backward pads g with zeros."""
+    idx = (slice(None),) * (axis % a.ndim) + (slice(start, stop),)
     shape = a.shape
 
     def bwd(g):
         ga = np.zeros(shape, dtype=g.dtype)
-        moved = np.moveaxis(ga, axis, 0)
-        np.add.at(moved, idx, np.moveaxis(g, axis, 0))
+        ga[idx] = g
         return (ga,)
 
-    return Tensor._make(np.take(a.data, idx, axis=axis), (a,), bwd, "take")
+    return Tensor._make(a.data[idx], (a,), bwd, "narrow")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -509,12 +446,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 # -- composed ops ----------------------------------------------------------
-
-
-def softmax(a: Tensor, axis: int = 0) -> Tensor:
-    shifted = sub(a, tmax_detached(a, axis=axis, keepdims=True))
-    e = texp(shifted)
-    return div(e, tsum(e, axis=axis, keepdims=True))
 
 
 def log_softmax(a: Tensor, axis: int = 0) -> Tensor:

@@ -66,6 +66,11 @@ def read_volume(path) -> tuple[np.ndarray, dict]:
             and all(type(d) is int and d >= 0 for d in dims)):
         raise VolumeFormatError(f"{path}: dims {dims!r} are not three "
                                 "non-negative integers")
+    # numpy refuses any shape whose nonzero extents overflow intp bytes,
+    # even one that holds no element
+    if math.prod(d for d in dims if d) * dt.itemsize > np.iinfo(np.intp).max:
+        raise VolumeFormatError(f"{path}: dims {dims!r} exceed the "
+                                "address space")
     body = raw[cut + len(_FENCE):]
     expected = math.prod(dims) * dt.itemsize
     if len(body) != expected:

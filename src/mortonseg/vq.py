@@ -31,8 +31,6 @@ class Codebook:
     embeddings: np.ndarray       # (K, D)
     ema_cluster_size: np.ndarray  # (K,)
     ema_embed_sum: np.ndarray    # (K, D)
-    decay: float = DEFAULT_DECAY
-    laplace_eps: float = DEFAULT_LAPLACE_EPS
     initialized: bool = False    # flipped by init_from_batch
 
     @property
@@ -45,16 +43,13 @@ class Codebook:
 
 
 def make_codebook(rng: np.random.Generator, k: int, d: int,
-                  decay: float = DEFAULT_DECAY,
-                  laplace_eps: float = DEFAULT_LAPLACE_EPS,
                   dtype=None) -> Codebook:
     if k < 1 or d < 1:
         raise ValueError("codebook needs k >= 1 entries of dim d >= 1")
     dtype = dtype or T.get_default_dtype()
     emb = rng.normal(0.0, 0.02, size=(k, d)).astype(dtype)
     return Codebook(embeddings=emb, ema_cluster_size=np.ones(k, dtype=dtype),
-                    ema_embed_sum=emb.copy(), decay=decay,
-                    laplace_eps=laplace_eps)
+                    ema_embed_sum=emb.copy())
 
 
 def init_from_batch(cb: Codebook, y: np.ndarray,
@@ -125,6 +120,8 @@ def ema_update(cb: Codebook, y: np.ndarray, indices: np.ndarray) -> Codebook:
     m_k <- decay*m_k + (1-decay)*sum of rows assigned to k
     e_k <- m_k / ((n_k + eps)/(sum_n + K*eps) * sum_n)
 
+    with decay = DEFAULT_DECAY and eps = DEFAULT_LAPLACE_EPS.
+
     No gradients flow here; call it once per training step, after
     quantize, from a single writer.
     """
@@ -132,12 +129,12 @@ def ema_update(cb: Codebook, y: np.ndarray, indices: np.ndarray) -> Codebook:
     counts = np.bincount(indices, minlength=cb.k).astype(cb.embeddings.dtype)
     sums = np.zeros_like(cb.ema_embed_sum)
     np.add.at(sums, indices, y)
-    g = cb.decay
+    g = DEFAULT_DECAY
     cb.ema_cluster_size = g * cb.ema_cluster_size + (1.0 - g) * counts
     cb.ema_embed_sum = g * cb.ema_embed_sum + (1.0 - g) * sums
     total = cb.ema_cluster_size.sum()
-    smoothed = ((cb.ema_cluster_size + cb.laplace_eps)
-                / (total + cb.k * cb.laplace_eps) * total)
+    smoothed = ((cb.ema_cluster_size + DEFAULT_LAPLACE_EPS)
+                / (total + cb.k * DEFAULT_LAPLACE_EPS) * total)
     cb.embeddings = cb.ema_embed_sum / smoothed[:, None]
     return cb
 

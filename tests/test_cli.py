@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mortonseg.analysis import EvalRecord, write_eval_csv
+from mortonseg.analysis import EvalRecord, read_eval_csv, write_eval_csv
 from mortonseg.cli import main
 from mortonseg.folds import load_folds
 from mortonseg.network import RETIRED_CONFIG_KEYS
@@ -164,6 +164,9 @@ def test_eval_scores_dataset(work, dataset, trained):
     assert {r["case_id"] for r in rows} == \
         {f"case_{i:03d}" for i in range(8)}
     assert (d / "metrics.csv").exists()
+    # analyze reads this file, so its reader must take it as written
+    records = read_eval_csv(d / "eval_records.csv")
+    assert [r.case_id for r in records] == [r["case_id"] for r in rows]
 
 
 def test_eval_fold_filter(work, dataset, trained):
@@ -276,6 +279,9 @@ def test_bench_writes_table_and_plot(work):
         assert int(r["reference_flops"]) > 10 * int(r["dual_flops"])
     svg = (d / "flops.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+    # the curves are flops_estimate, which leaves the conv backbone out
+    assert "scan placement FLOPs, backbone excluded" in svg
+    assert "conv" not in svg
 
 
 def test_bench_rejects_bad_resolution(work):
@@ -319,6 +325,14 @@ def test_gradcheck_sabotage_detected(capsys):
     rc = main(["gradcheck", "--op", "mul", "--sabotage", "mul"])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_gradcheck_sabotage_of_unknown_op_is_an_error(capsys):
+    # a misspelt op flips nothing, so a clean pass would prove nothing
+    rc = main(["gradcheck", "--op", "mul", "--sabotage", "mull"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'mull'" in err
 
 
 # ---------------------------------------------------------------- plumbing

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mortonseg import tensor as T
-from mortonseg.gradcheck import central_difference, check_gradients
+from mortonseg.gradcheck import Sabotage, central_difference, check_gradients
 from mortonseg.checksuite import run_suite
 from mortonseg.tensor import Tensor
 
@@ -54,12 +54,9 @@ def test_catches_wrong_backward():
 def test_catches_sabotaged_op():
     x = leaf(np.random.default_rng(2).standard_normal((2, 3)))
     y = leaf(np.random.default_rng(3).standard_normal((2, 3)))
-    T._sabotaged_op = "mul"
-    try:
+    with T.op_hook(Sabotage("mul")):
         res = check_gradients(lambda a, b: T.tsum(T.mul(a, b)), [x, y],
                               "sabotaged_mul")
-    finally:
-        T._sabotaged_op = None
     assert not res.passed
 
 

@@ -253,7 +253,7 @@ def test_forward_shapes_and_validation():
     out = m.forward(x)
     assert out.logits.shape == (4, 32, 32, 32)
     assert out.commit_loss is not None
-    assert out.vq_batches == []  # eval mode records nothing
+    assert out.vq_batch is None  # eval mode records nothing
     with pytest.raises(ValueError):
         m.forward(x[:3])
     with pytest.raises(ValueError):
@@ -275,7 +275,7 @@ def test_vq_disabled_drops_commit():
     x = np.random.default_rng(9).standard_normal((4, 32, 32, 32)).astype(np.float32)
     out = m.forward(x, train=True)
     assert out.commit_loss is None
-    assert out.vq_batches == []
+    assert out.vq_batch is None
     assert m.codebook is None
 
 
@@ -283,11 +283,11 @@ def test_ema_step_seeds_codebook_then_updates():
     # vq_k = 16 > the 8 bottleneck tokens of a 32-cube, so after seeding
     # some entries stay unassigned and the next EMA update must shrink them
     m = Model(tiny_config(vq_k=16), seed=2)
-    assert m.has_unseeded_codebooks()
+    assert not m.codebook.initialized
     x = np.random.default_rng(11).standard_normal((4, 32, 32, 32)).astype(np.float32)
     out = m.forward(x, train=True)
     m.ema_step(out)
-    assert not m.has_unseeded_codebooks()
+    assert m.codebook.initialized
     before = m.codebook.ema_cluster_size.copy()
     out = m.forward(x, train=True)
     m.ema_step(out)
@@ -306,7 +306,7 @@ def test_state_dict_roundtrip_bit_exact():
     assert not np.array_equal(b.forward(x).logits.data, ref) or True
     b.load_state_dict(a.state_dict())
     np.testing.assert_array_equal(b.forward(x).logits.data, ref)
-    assert not b.has_unseeded_codebooks()
+    assert b.codebook.initialized
 
 
 def test_load_state_dict_validates():

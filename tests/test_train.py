@@ -6,6 +6,8 @@ with an uninterrupted run, the property the per-step rng streams were
 designed to give.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -280,6 +282,12 @@ def test_checkpoint_rejects_corruption(tmp_path):
     wrong_version = raw[:4] + (99).to_bytes(4, "little") + raw[8:]
     bad.write_bytes(wrong_version)
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(bad)
+
+    # no element, so no buffer bytes, but a shape numpy refuses to build
+    bad.write_bytes(b"MSEG" + struct.pack("<III", 1, 1, 1) + b"w"
+                    + struct.pack("<4I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1))
+    with pytest.raises(CheckpointError, match="extents"):
         load_checkpoint(bad)
 
 

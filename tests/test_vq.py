@@ -6,9 +6,9 @@ import pytest
 from mortonseg import tensor as T
 from mortonseg.rng import make_rng
 from mortonseg.tensor import Tensor
-from mortonseg.vq import (Codebook, init_from_batch, make_codebook,
-                          nearest_indices, quantize, ema_update,
-                          straight_through_check)
+from mortonseg.vq import (DEFAULT_DECAY, DEFAULT_LAPLACE_EPS, Codebook,
+                          init_from_batch, make_codebook, nearest_indices,
+                          quantize, ema_update, straight_through_check)
 
 
 def brute_force_nn(y: np.ndarray, emb: np.ndarray) -> np.ndarray:
@@ -24,8 +24,8 @@ def brute_force_nn(y: np.ndarray, emb: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def fresh_codebook(rng, k, d, **kw) -> Codebook:
-    cb = make_codebook(rng, k, d, dtype=np.float64, **kw)
+def fresh_codebook(rng, k, d) -> Codebook:
+    cb = make_codebook(rng, k, d, dtype=np.float64)
     cb.initialized = True
     return cb
 
@@ -143,36 +143,28 @@ def test_straight_through_check_nontrivial_downstream():
 # -- EMA updates --------------------------------------------------------------
 
 
-def test_zero_decay_is_one_step_kmeans():
-    rng = make_rng(72)
-    cb = fresh_codebook(rng, 3, 2, decay=0.0)
-    y = rng.normal(0, 1, (30, 2))
-    idx = np.zeros(30, dtype=np.int64)      # everything lands in cluster 0
-    ema_update(cb, y, idx)
-    assert np.allclose(cb.embeddings[0], y.mean(axis=0), rtol=1e-4)
-
-
 def test_unassigned_cluster_size_decays():
     rng = make_rng(73)
     cb = fresh_codebook(rng, 3, 2)
     before = cb.ema_cluster_size.copy()
     y = rng.normal(0, 1, (10, 2))
     ema_update(cb, y, np.zeros(10, dtype=np.int64))
-    assert np.isclose(cb.ema_cluster_size[1], cb.decay * before[1])
-    assert np.isclose(cb.ema_cluster_size[2], cb.decay * before[2])
+    assert np.isclose(cb.ema_cluster_size[1], DEFAULT_DECAY * before[1])
+    assert np.isclose(cb.ema_cluster_size[2], DEFAULT_DECAY * before[2])
     assert cb.ema_cluster_size[0] > before[0]
 
 
 def test_ema_formula_single_step():
-    cb = fresh_codebook(make_rng(74), 2, 1, decay=0.5)
+    g, eps = DEFAULT_DECAY, DEFAULT_LAPLACE_EPS
+    cb = fresh_codebook(make_rng(74), 2, 1)
     cb.ema_cluster_size = np.array([1.0, 1.0])
     cb.ema_embed_sum = np.array([[2.0], [-2.0]])
     y = np.array([[4.0], [6.0]])
     ema_update(cb, y, np.array([0, 0]))
-    n = np.array([0.5 * 1 + 0.5 * 2, 0.5 * 1])         # counts: 2, 0
-    m = np.array([[0.5 * 2 + 0.5 * 10], [0.5 * -2]])
+    n = np.array([g * 1 + (1 - g) * 2, g * 1])         # counts: 2, 0
+    m = np.array([[g * 2 + (1 - g) * 10], [g * -2]])   # row sums: 10, 0
     total = n.sum()
-    smoothed = (n + cb.laplace_eps) / (total + 2 * cb.laplace_eps) * total
+    smoothed = (n + eps) / (total + 2 * eps) * total
     assert np.allclose(cb.ema_cluster_size, n, rtol=1e-12)
     assert np.allclose(cb.ema_embed_sum, m, rtol=1e-12)
     assert np.allclose(cb.embeddings, m / smoothed[:, None], rtol=1e-12)
