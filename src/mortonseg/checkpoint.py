@@ -31,16 +31,15 @@ class CheckpointError(IOError):
 
 
 def save_checkpoint(path, entries: dict) -> None:
-    parts = [MAGIC, struct.pack("<II", VERSION, len(entries))]
-    for name in sorted(entries):
-        arr = np.ascontiguousarray(entries[name], dtype="<f4")
-        nb = name.encode()
-        parts.append(struct.pack("<I", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    """Write entries to path, each straight from its array's buffer."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(entries)))
+        for name in sorted(entries):
+            arr = np.ascontiguousarray(entries[name], dtype="<f4")
+            nb = name.encode()
+            fh.write(struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb,
+                                 arr.ndim, *arr.shape))
+            fh.write(arr.data)
 
 
 def load_checkpoint(path) -> dict:

@@ -25,7 +25,7 @@ from . import tensor as T
 from .conv import conv3d, upsample_nearest3d
 from .morton import build_permutation
 from .rng import make_rng
-from .ssm import SsmParams, bidir_scan_block, init_ssm_params
+from .ssm import bidir_scan_block, init_ssm_params
 from .tensor import Tensor
 from .vq import (DEFAULT_COMMIT_WEIGHT, DEFAULT_DECAY, DEFAULT_LAPLACE_EPS,
                  ema_update, init_from_batch, make_codebook, quantize)
@@ -97,34 +97,19 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
 
 class ConvBlock:
-    """conv3d (pad k//2) -> instance norm -> relu."""
+    """3x3x3 conv3d (pad 1) -> instance norm -> relu."""
 
-    def __init__(self, rng: np.random.Generator, cin: int, cout: int,
-                 k: int = 3, dtype=None):
-        dtype = dtype or T.get_default_dtype()
-        std = (2.0 / (cin * k ** 3)) ** 0.5
-        self.w = Tensor(rng.normal(0.0, std, size=(cout, cin, k, k, k)),
-                        requires_grad=True, dtype=dtype)
-        self.b = Tensor(np.zeros(cout), requires_grad=True, dtype=dtype)
-        self.gamma = Tensor(np.ones(cout), requires_grad=True, dtype=dtype)
-        self.beta = Tensor(np.zeros(cout), requires_grad=True, dtype=dtype)
+    def __init__(self, rng: np.random.Generator, cin: int, cout: int):
+        std = (2.0 / (cin * 27)) ** 0.5
+        self.w = Tensor(rng.normal(0.0, std, size=(cout, cin, 3, 3, 3)),
+                        requires_grad=True)
+        self.b = Tensor(np.zeros(cout), requires_grad=True)
+        self.gamma = Tensor(np.ones(cout), requires_grad=True)
+        self.beta = Tensor(np.zeros(cout), requires_grad=True)
 
     def __call__(self, x: Tensor, stride: int = 1) -> Tensor:
         return T.relu(instance_norm(conv3d(x, self.w, self.b, stride),
                                     self.gamma, self.beta))
-
-    def named(self, prefix: str) -> dict:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b,
-                f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
-
-
-def _named_ssm(p: SsmParams, prefix: str) -> dict:
-    s = p.scan
-    return {f"{prefix}.scan.a_log": s.a_log, f"{prefix}.scan.w_b": s.w_b,
-            f"{prefix}.scan.w_c": s.w_c, f"{prefix}.scan.w_delta": s.w_delta,
-            f"{prefix}.scan.b_delta": s.b_delta,
-            f"{prefix}.scan.d_skip": s.d_skip, f"{prefix}.theta": p.theta,
-            f"{prefix}.conv_w": p.conv_w, f"{prefix}.conv_b": p.conv_b}
 
 
 @dataclass
@@ -142,17 +127,15 @@ class Model:
         self.seed = seed
         rng = make_rng(seed, 0)
         ch = cfg.channels
-        dtype = T.get_default_dtype()
 
         self.enc = []
         cin = cfg.in_channels
         for c in ch:
-            self.enc.append((ConvBlock(rng, cin, c, dtype=dtype),
-                             ConvBlock(rng, c, c, dtype=dtype)))
+            self.enc.append((ConvBlock(rng, cin, c), ConvBlock(rng, c, c)))
             cin = c
 
-        self.skip_ssm = init_ssm_params(rng, ch[3], cfg.state_size, dtype)
-        self.bot_ssm = init_ssm_params(rng, ch[5], cfg.state_size, dtype)
+        self.skip_ssm = init_ssm_params(rng, ch[3], cfg.state_size)
+        self.bot_ssm = init_ssm_params(rng, ch[5], cfg.state_size)
 
         # decoder level i fuses with encoder stage i (1-based); level 5
         # works at the bottleneck resolution, so no upsample there
@@ -161,17 +144,15 @@ class Model:
         upper = [ch[1], ch[2], ch[3], ch[4], ch[5]]
         for lo, hi in zip(skip_ch, upper):
             self.dec.append({
-                "proj": ConvBlock(rng, hi, lo, dtype=dtype),
-                "fuse": ConvBlock(rng, 2 * lo, lo, dtype=dtype),
-                "refine": ConvBlock(rng, lo, lo, dtype=dtype)})
+                "proj": ConvBlock(rng, hi, lo),
+                "fuse": ConvBlock(rng, 2 * lo, lo),
+                "refine": ConvBlock(rng, lo, lo)})
 
-        self.head_w = Tensor(
-            np.zeros((cfg.num_classes, ch[0], 1, 1, 1)),
-            requires_grad=True, dtype=dtype)
-        self.head_b = Tensor(np.zeros(cfg.num_classes),
-                             requires_grad=True, dtype=dtype)
+        self.head_w = Tensor(np.zeros((cfg.num_classes, ch[0], 1, 1, 1)),
+                             requires_grad=True)
+        self.head_b = Tensor(np.zeros(cfg.num_classes), requires_grad=True)
 
-        self.codebook = (make_codebook(rng, cfg.vq_k, ch[5], dtype=dtype)
+        self.codebook = (make_codebook(rng, cfg.vq_k, ch[5])
                          if cfg.vq_enabled else None)
         self._vq_rng = make_rng(seed, 3)
         self._perms = {}
@@ -179,53 +160,45 @@ class Model:
     # -- parameter bookkeeping --------------------------------------------
 
     def named_parameters(self) -> dict:
-        out = {}
+        parts = {}
         for i, (a, b) in enumerate(self.enc, start=1):
-            out.update(a.named(f"enc{i}a"))
-            out.update(b.named(f"enc{i}b"))
-        out.update(_named_ssm(self.skip_ssm, "skip_ssm"))
-        out.update(_named_ssm(self.bot_ssm, "bot_ssm"))
+            parts[f"enc{i}a"], parts[f"enc{i}b"] = a, b
+        parts["skip_ssm"], parts["bot_ssm"] = self.skip_ssm, self.bot_ssm
         for i, level in enumerate(self.dec, start=1):
-            for part in ("proj", "fuse", "refine"):
-                out.update(level[part].named(f"dec{i}.{part}"))
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
-        return out
+            parts[f"dec{i}"] = level
+        parts["head"] = {"w": self.head_w, "b": self.head_b}
+        return T.named_tensors(parts)
 
     def parameters(self) -> list:
         return list(self.named_parameters().values())
 
+    def _state_slots(self) -> dict:
+        """name -> (owner, attribute) of every array a checkpoint holds."""
+        slots = {k: (t, "data") for k, t in self.named_parameters().items()}
+        if self.codebook is not None:
+            for attr in ("embeddings", "ema_cluster_size", "ema_embed_sum"):
+                slots[f"vq.{attr}"] = (self.codebook, attr)
+        return slots
+
     def state_dict(self) -> dict:
-        out = {k: v.data for k, v in self.named_parameters().items()}
-        cb = self.codebook
-        if cb is not None:
-            out["vq.embeddings"] = cb.embeddings
-            out["vq.ema_cluster_size"] = cb.ema_cluster_size
-            out["vq.ema_embed_sum"] = cb.ema_embed_sum
+        out = {k: getattr(owner, attr)
+               for k, (owner, attr) in self._state_slots().items()}
+        if self.codebook is not None:
             out["vq.initialized"] = np.array(
-                [1.0 if cb.initialized else 0.0], dtype=np.float32)
+                [1.0 if self.codebook.initialized else 0.0], dtype=np.float32)
         return out
 
     def load_state_dict(self, entries: dict) -> None:
-        params = self.named_parameters()
-        for k, t in params.items():
+        for k, (owner, attr) in self._state_slots().items():
             if k not in entries:
-                raise KeyError(f"checkpoint is missing parameter '{k}'")
-            arr = entries[k]
-            if tuple(arr.shape) != t.shape:
+                raise KeyError(f"checkpoint is missing '{k}'")
+            arr, cur = entries[k], getattr(owner, attr)
+            if tuple(arr.shape) != cur.shape:
                 raise ValueError(f"shape mismatch for '{k}': "
-                                 f"{arr.shape} vs {t.shape}")
-            t.data = np.ascontiguousarray(arr, dtype=t.data.dtype)
-        cb = self.codebook
-        if cb is not None:
-            dt = cb.embeddings.dtype
-            cb.embeddings = np.ascontiguousarray(entries["vq.embeddings"],
-                                                 dtype=dt)
-            cb.ema_cluster_size = np.ascontiguousarray(
-                entries["vq.ema_cluster_size"], dtype=dt)
-            cb.ema_embed_sum = np.ascontiguousarray(
-                entries["vq.ema_embed_sum"], dtype=dt)
-            cb.initialized = bool(entries["vq.initialized"][0] > 0.5)
+                                 f"{arr.shape} vs {cur.shape}")
+            setattr(owner, attr, np.ascontiguousarray(arr, dtype=cur.dtype))
+        if self.codebook is not None:
+            self.codebook.initialized = bool(entries["vq.initialized"][0] > 0.5)
 
     def param_count(self, include_codebook: bool = True) -> int:
         n = sum(t.size for t in self.parameters())
@@ -381,8 +354,8 @@ def sliding_window_infer(model: Model, volume: np.ndarray, window: tuple,
 
     Windows are placed on a regular stride grid with an extra end-aligned
     window per axis when the stride does not land exactly; every voxel is
-    covered at least once. window == volume shape degenerates to a single
-    plain forward pass.
+    covered at least once. window == volume shape is one window, so the
+    result equals a plain forward pass.
     """
     c, xe, ye, ze = volume.shape
     wx, wy, wz = window
@@ -396,12 +369,10 @@ def sliding_window_infer(model: Model, volume: np.ndarray, window: tuple,
             ss.append(extent - w)
         return ss
 
-    if (wx, wy, wz) == (xe, ye, ze):
-        with T.no_grad():
-            return model.forward(volume).logits.data
-
-    acc = np.zeros((model.cfg.num_classes, xe, ye, ze), dtype=volume.dtype)
-    cnt = np.zeros((xe, ye, ze), dtype=volume.dtype)
+    # the tape refuses mixed dtypes, so logits take the parameters' dtype
+    dtype = model.head_w.data.dtype
+    acc = np.zeros((model.cfg.num_classes, xe, ye, ze), dtype=dtype)
+    cnt = np.zeros((xe, ye, ze), dtype=dtype)
     with T.no_grad():
         for sx in starts(xe, wx):
             for sy in starts(ye, wy):

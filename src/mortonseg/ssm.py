@@ -55,8 +55,7 @@ class ScanParams:
     d_skip: Tensor   # (E,) direct feedthrough D
 
     def tensors(self) -> list[Tensor]:
-        return [self.a_log, self.w_b, self.w_c, self.w_delta, self.b_delta,
-                self.d_skip]
+        return list(T.named_tensors(self).values())
 
 
 @dataclass
@@ -72,7 +71,7 @@ class SsmParams:
     conv_b: Tensor  # (E,)
 
     def tensors(self) -> list[Tensor]:
-        return self.scan.tensors() + [self.theta, self.conv_w, self.conv_b]
+        return list(T.named_tensors(self).values())
 
 
 def init_ssm_params(rng: np.random.Generator, e: int, n: int,

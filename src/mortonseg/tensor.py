@@ -18,7 +18,9 @@ accumulate, callers zero them between optimization steps.
 Every op is built by ``Tensor._make``, and ``op_hook`` is its one
 extension point: a hook sees each op as it is built and may wrap the
 backward closure that gets recorded. ``check_finite`` is such a hook.
-``no_grad`` is the only other global switch.
+The only other global switches are ``no_grad`` and the default dtype;
+a Tensor built without an explicit dtype takes the default, so it is
+also the one place a model's precision is set.
 """
 
 from __future__ import annotations
@@ -219,6 +221,22 @@ class Tensor:
                     flowing[key] = flowing[key] + pg
                 else:
                     flowing[key] = pg
+
+
+def named_tensors(obj, prefix: str = "") -> dict:
+    """Every Tensor reachable from obj, keyed ``prefix.attr.attr...``.
+
+    Walks a dict's items and any other object's attributes (a dataclass's
+    fields in declaration order) in insertion order; values with neither
+    hold no Tensor. The order is stable, so callers may index by position.
+    """
+    if isinstance(obj, Tensor):
+        return {prefix: obj}
+    items = obj if isinstance(obj, dict) else getattr(obj, "__dict__", {})
+    out = {}
+    for name, value in items.items():
+        out.update(named_tensors(value, f"{prefix}.{name}" if prefix else name))
+    return out
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:

@@ -62,18 +62,18 @@ class AdamW:
 
     # -- checkpoint plumbing ------------------------------------------------
 
-    def state_entries(self, prefix: str = "opt") -> dict:
-        out = {f"{prefix}.t": np.array([float(self.t)], dtype=np.float32)}
+    def state_entries(self) -> dict:
+        out = {"opt.t": np.array([float(self.t)], dtype=np.float32)}
         for i in range(len(self.params)):
-            out[f"{prefix}.m.{i:04d}"] = self.m[i]
-            out[f"{prefix}.v.{i:04d}"] = self.v[i]
+            out[f"opt.m.{i:04d}"] = self.m[i]
+            out[f"opt.v.{i:04d}"] = self.v[i]
         return out
 
-    def load_state_entries(self, entries: dict, prefix: str = "opt") -> None:
-        self.t = int(round(float(entries[f"{prefix}.t"][0])))
+    def load_state_entries(self, entries: dict) -> None:
+        self.t = int(round(float(entries["opt.t"][0])))
         for i, p in enumerate(self.params):
-            m = entries[f"{prefix}.m.{i:04d}"]
-            v = entries[f"{prefix}.v.{i:04d}"]
+            m = entries[f"opt.m.{i:04d}"]
+            v = entries[f"opt.v.{i:04d}"]
             if m.shape != p.data.shape or v.shape != p.data.shape:
                 raise ValueError(f"optimizer state {i} does not match its "
                                  "parameter shape")

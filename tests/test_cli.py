@@ -224,6 +224,18 @@ def test_eval_reads_sidecar_with_retired_keys(work, dataset, trained):
         assert main(args + ["--out", str(work / f"s_{key}")]) == 1
 
 
+def test_eval_rejects_sidecar_codebook_size_mismatch(work, dataset, trained):
+    run = work / "vq32_run"
+    run.mkdir()
+    (run / "checkpoint.mseg").write_bytes(
+        (trained / "checkpoint.mseg").read_bytes())
+    cfg = json.loads((trained / "net_config.json").read_text())
+    assert cfg["vq_k"] != 32
+    (run / "net_config.json").write_text(json.dumps({**cfg, "vq_k": 32}))
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.mseg"),
+                 "--data", str(dataset), "--out", str(work / "s_vq32")]) == 1
+
+
 # ---------------------------------------------------------------- analyze
 
 def make_records(n=25):

@@ -10,7 +10,7 @@ import pytest
 
 from mortonseg import tensor as T
 from mortonseg.gradcheck import Sabotage, central_difference, check_gradients
-from mortonseg.checksuite import run_suite
+from mortonseg.checksuite import run_suite, suite
 from mortonseg.tensor import Tensor
 
 
@@ -74,14 +74,13 @@ def test_sampling_limits_coordinates():
     assert res.n_checked == 7
 
 
-def test_run_suite_full_sweep_passes():
-    results = run_suite()
-    names = [r.name for r in results]
+def test_suite_names_unique_and_cover_composed_checks():
+    # listed, not run: acceptance criterion 1 runs the sweep and asserts
+    # that every check passes
+    names = [name for name, _ in suite()]
     assert len(names) == len(set(names))
     assert "composed_forward" in names
     assert "vq_ste_identity" in names
-    failed = [r.name for r in results if not r.passed]
-    assert not failed, failed
 
 
 def test_run_suite_filter():

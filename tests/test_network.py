@@ -322,6 +322,17 @@ def test_load_state_dict_validates():
         m.load_state_dict(wrong)
 
 
+def test_load_state_dict_checks_codebook_arrays():
+    sd = Model(desk_config(), seed=0).state_dict()
+    with pytest.raises(ValueError, match="vq.embeddings"):
+        Model(desk_config(vq_k=32), seed=0).load_state_dict(sd)
+    m = Model(tiny_config(), seed=0)
+    missing = m.state_dict()
+    del missing["vq.ema_embed_sum"]
+    with pytest.raises(KeyError, match="vq.ema_embed_sum"):
+        m.load_state_dict(missing)
+
+
 # ---------------------------------------------------------------- windows
 
 def test_sliding_window_degenerates_to_forward():
@@ -339,6 +350,14 @@ def test_sliding_window_covers_every_voxel():
     assert out.shape == (4, 48, 48, 32)
     # a missed voxel would divide by zero and show up as non-finite
     assert np.isfinite(out).all()
+
+
+def test_sliding_window_keeps_f64_logits():
+    with T.default_dtype(np.float64):
+        m = Model(tiny_config(), seed=6)
+        x = np.random.default_rng(14).standard_normal((4, 48, 32, 32))
+        out = sliding_window_infer(m, x.astype(np.float32), (32, 32, 32))
+    assert out.dtype == np.float64
 
 
 def test_sliding_window_rejects_oversized_window():

@@ -1,5 +1,7 @@
 """Autodiff engine: finite-difference checks, tape mechanics, contexts."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,27 @@ def test_op_hook_is_removed_when_its_block_exits():
             raise RuntimeError("leave the block")
     T.sigmoid(x)
     assert seen == ["neg", "exp"]
+
+
+def test_named_tensors_walks_fields_items_and_attributes():
+    @dataclass
+    class Pair:
+        second: T.Tensor
+        first: T.Tensor
+        count: int = 2
+
+    class Holder:
+        def __init__(self):
+            self.w = T.Tensor([1.0])
+            self.note = "skipped"
+            self.table = np.zeros(3)
+
+    a, b = T.Tensor([2.0]), T.Tensor([3.0])
+    h = Holder()
+    named = T.named_tensors({"pair": Pair(a, b), "h": h}, "m")
+    assert list(named) == ["m.pair.second", "m.pair.first", "m.h.w"]
+    assert named["m.pair.second"] is a and named["m.h.w"] is h.w
+    assert list(T.named_tensors(Pair(a, b))) == ["second", "first"]
 
 
 def test_log_rejects_nonpositive_input():

@@ -6,7 +6,9 @@ with an uninterrupted run, the property the per-step rng streams were
 designed to give.
 """
 
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +261,29 @@ def test_checkpoint_roundtrip_and_stable_bytes(tmp_path):
     assert sorted(back) == ["a", "b", "scalar"]
     for k in entries:
         np.testing.assert_array_equal(back[k], entries[k])
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    p = tmp_path / "pin.mseg"
+    save_checkpoint(p, {"w": np.arange(6, dtype=np.float64).reshape(2, 3) / 7,
+                        "opt.t": np.array([3.0]),
+                        "empty": np.zeros((0, 4), np.float32),
+                        "\u00fc": np.float32(-0.5)})
+    raw = p.read_bytes()
+    assert len(raw) == 113
+    assert hashlib.sha256(raw).hexdigest() == (
+        "add7adb1c43c30a77781d3a74bcfad21c69f861c284268dff97a5dff17588015")
+
+
+def test_checkpoint_save_streams_entries(tmp_path):
+    big = np.zeros(8 * 2 ** 20, dtype=np.float32)  # 32 MB
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "big.mseg", {"x": big})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"save peaked at {peak / 2 ** 20:.1f} MB"
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
