@@ -189,16 +189,24 @@ class Model:
         return out
 
     def load_state_dict(self, entries: dict) -> None:
-        for k, (owner, attr) in self._state_slots().items():
+        """Copy a state in. Every slot is checked before any is assigned,
+        so a state that does not fit leaves the model unchanged."""
+        slots = self._state_slots()
+        for k, (owner, attr) in slots.items():
             if k not in entries:
                 raise KeyError(f"checkpoint is missing '{k}'")
             arr, cur = entries[k], getattr(owner, attr)
             if tuple(arr.shape) != cur.shape:
                 raise ValueError(f"shape mismatch for '{k}': "
                                  f"{arr.shape} vs {cur.shape}")
-            setattr(owner, attr, np.ascontiguousarray(arr, dtype=cur.dtype))
         if self.codebook is not None:
-            self.codebook.initialized = bool(entries["vq.initialized"][0] > 0.5)
+            initialized = bool(entries["vq.initialized"][0] > 0.5)
+        for k, (owner, attr) in slots.items():
+            # a copy: the optimizer updates parameters in place
+            setattr(owner, attr,
+                    np.array(entries[k], dtype=getattr(owner, attr).dtype))
+        if self.codebook is not None:
+            self.codebook.initialized = initialized
 
     def param_count(self, include_codebook: bool = True) -> int:
         n = sum(t.size for t in self.parameters())

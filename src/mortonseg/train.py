@@ -24,10 +24,18 @@ _STEP_STREAM = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_BLOCK = 32768  # elements per AdamW block: temporaries stay in cache
 
 
 class AdamW:
-    """Adam moments plus decoupled weight decay (decay skips the moments)."""
+    """Adam moments plus decoupled weight decay (decay skips the moments).
+
+    `step` updates each parameter's data and its moments `m`, `v` in
+    place, one block of `_BLOCK` elements of the flattened arrays at a
+    time, so the temporaries stay in cache and nothing of a parameter's
+    size is allocated. Every element goes through the same IEEE
+    operations, in the same order, as the per-tensor formula.
+    """
 
     def __init__(self, params: list, lr: float = 1e-4,
                  weight_decay: float = 1e-4, beta1: float = ADAM_BETA1,
@@ -46,23 +54,51 @@ class AdamW:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
+        decay = lr * self.weight_decay
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is None:
                 continue
-            if self.weight_decay:
-                p.data -= (self.lr * self.weight_decay) * p.data
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            p.data -= self.lr * (self.m[i] / bc1) / (
-                np.sqrt(self.v[i] / bc2) + self.eps)
+            # reshape(-1) of a contiguous array is a view: writes land in p, m, v
+            w, g, m, v = (a.reshape(-1) for a in (p.data, p.grad, m, v))
+            s1 = np.empty(min(w.size, _BLOCK), dtype=w.dtype)
+            s2 = np.empty_like(s1)
+            for lo in range(0, w.size, _BLOCK):
+                wb, gb, mb, vb = (a[lo:lo + _BLOCK] for a in (w, g, m, v))
+                t1, t2 = s1[:wb.size], s2[:wb.size]
+                if self.weight_decay:  # w -= decay * w
+                    np.multiply(decay, wb, out=t1)
+                    np.subtract(wb, t1, out=wb)
+                # m = b1 * m + (1 - b1) * g
+                np.multiply(b1, mb, out=mb)
+                np.multiply(1.0 - b1, gb, out=t1)
+                np.add(mb, t1, out=mb)
+                # v = b2 * v + (1 - b2) * g * g
+                np.multiply(b2, vb, out=vb)
+                np.multiply(1.0 - b2, gb, out=t1)
+                np.multiply(t1, gb, out=t1)
+                np.add(vb, t1, out=vb)
+                # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+                np.divide(mb, bc1, out=t1)
+                np.multiply(lr, t1, out=t1)
+                np.divide(vb, bc2, out=t2)
+                np.sqrt(t2, out=t2)
+                np.add(t2, eps, out=t2)
+                np.divide(t1, t2, out=t1)
+                np.subtract(wb, t1, out=wb)
 
     # -- checkpoint plumbing ------------------------------------------------
 
     def state_entries(self) -> dict:
+        """Step count and moments by checkpoint name.
+
+        The moment arrays are the live ones, not copies: they are valid
+        until the next `step()`, which overwrites them in place. Copying
+        here would hold a second set of moments while a checkpoint is
+        written.
+        """
         out = {"opt.t": np.array([float(self.t)], dtype=np.float32)}
         for i in range(len(self.params)):
             out[f"opt.m.{i:04d}"] = self.m[i]
@@ -70,15 +106,18 @@ class AdamW:
         return out
 
     def load_state_entries(self, entries: dict) -> None:
-        self.t = int(round(float(entries["opt.t"][0])))
+        """Take copies of saved moments; on error the state is unchanged."""
+        t = int(round(float(entries["opt.t"][0])))
+        ms, vs = [], []
         for i, p in enumerate(self.params):
             m = entries[f"opt.m.{i:04d}"]
             v = entries[f"opt.v.{i:04d}"]
             if m.shape != p.data.shape or v.shape != p.data.shape:
                 raise ValueError(f"optimizer state {i} does not match its "
                                  "parameter shape")
-            self.m[i] = np.ascontiguousarray(m, dtype=p.data.dtype)
-            self.v[i] = np.ascontiguousarray(v, dtype=p.data.dtype)
+            ms.append(np.array(m, dtype=p.data.dtype))
+            vs.append(np.array(v, dtype=p.data.dtype))
+        self.t, self.m, self.v = t, ms, vs
 
 
 _ROT_PLANES = ((0, 1), (0, 2), (1, 2))  # spatial axis pairs

@@ -323,9 +323,14 @@ def test_load_state_dict_validates():
 
 
 def test_load_state_dict_checks_codebook_arrays():
-    sd = Model(desk_config(), seed=0).state_dict()
+    sd = Model(desk_config(), seed=1).state_dict()
+    m32 = Model(desk_config(vq_k=32), seed=0)
+    w = m32.named_parameters()["enc1a.w"]
+    before = w.data.copy()
+    assert not np.array_equal(sd["enc1a.w"], before)
     with pytest.raises(ValueError, match="vq.embeddings"):
-        Model(desk_config(vq_k=32), seed=0).load_state_dict(sd)
+        m32.load_state_dict(sd)
+    np.testing.assert_array_equal(w.data, before)  # nothing was assigned
     m = Model(tiny_config(), seed=0)
     missing = m.state_dict()
     del missing["vq.ema_embed_sum"]

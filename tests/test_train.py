@@ -25,6 +25,10 @@ from mortonseg.phantom import generate_phantom
 from mortonseg.rng import make_rng
 from mortonseg.tensor import NumericalError, Tensor
 from mortonseg.train import (
+    _BLOCK,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamW,
     augment_case,
     load_training_state,
@@ -46,7 +50,8 @@ def tiny_cases(n=2):
 # ---------------------------------------------------------------- AdamW
 
 def adamw_oracle(theta, grads, lr, wd, b1, b2, eps, steps):
-    """Reference update sequence for a single parameter."""
+    """Reference update sequence for a single parameter: the per-tensor
+    expressions that the blocked `AdamW.step` must match bit for bit."""
     theta = theta.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -73,6 +78,45 @@ def test_adamw_matches_reference_formula():
         opt.step()
     want = adamw_oracle(init, grads, 0.01, 0.1, 0.8, 0.9, 1e-8, 5)
     np.testing.assert_allclose(p.data, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("wd", [0.0, 0.1])
+def test_adamw_blocks_bit_identical_to_per_tensor_formula(dtype, wd):
+    # sizes on both sides of each block edge, plus a conv-weight shape
+    shapes = [(1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (2 * _BLOCK + 3,),
+              (8, 4, 3, 3, 3)]
+    rng = np.random.default_rng(3)
+    inits = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    grads = [[rng.standard_normal(s).astype(dtype) for s in shapes]
+             for _ in range(3)]
+    params = [Tensor(x.copy(), dtype=dtype, requires_grad=True) for x in inits]
+    opt = AdamW(params, lr=0.01, weight_decay=wd)
+    moments = opt.m + opt.v
+    for gs in grads:
+        for p, g in zip(params, gs):
+            p.grad = g
+        opt.step()
+    assert all(a is b for a, b in zip(opt.m + opt.v, moments))
+    for k, p in enumerate(params):
+        want = adamw_oracle(inits[k], [gs[k] for gs in grads], 0.01, wd,
+                            ADAM_BETA1, ADAM_BETA2, ADAM_EPS, 3)
+        assert p.data.dtype == dtype
+        np.testing.assert_array_equal(p.data, want, err_msg=str(shapes[k]))
+
+
+def test_adamw_step_allocates_only_block_scratch():
+    p = Tensor(np.ones(8_000_003, dtype=np.float32), dtype=np.float32,
+               requires_grad=True)  # 32 MB
+    opt = AdamW([p], lr=0.01, weight_decay=0.1)
+    p.grad = np.full(p.shape, 0.5, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"step peaked at {peak / 2 ** 20:.1f} MB"
 
 
 def test_adamw_first_step_is_signed_lr():
@@ -123,13 +167,39 @@ def test_adamw_state_roundtrip_resumes_identically():
     np.testing.assert_array_equal(p3.data, p1.data)
 
 
+def test_adamw_loaded_moments_are_copies():
+    p2 = Tensor(np.ones(6), dtype=np.float32, requires_grad=True)
+    opt2 = AdamW([p2], lr=0.02)
+    p2.grad = np.full(6, 0.5, dtype=np.float32)
+    opt2.step()
+    m2, v2 = opt2.m[0].copy(), opt2.v[0].copy()
+    p3 = Tensor(p2.data.copy(), dtype=np.float32, requires_grad=True)
+    opt3 = AdamW([p3], lr=0.02)
+    opt3.load_state_entries(opt2.state_entries())
+    p3.grad = np.full(6, -2.0, dtype=np.float32)
+    opt3.step()
+    np.testing.assert_array_equal(opt2.m[0], m2)
+    np.testing.assert_array_equal(opt2.v[0], v2)
+
+
+def test_loaded_model_owns_its_arrays():
+    a, b = tiny_model(seed=0), tiny_model(seed=1)
+    b.load_state_dict(a.state_dict())
+    before = {k: v.copy() for k, v in a.state_dict().items()}
+    train(b, tiny_cases(1), steps=1, lr=0.01)
+    for k, v in a.state_dict().items():
+        np.testing.assert_array_equal(v, before[k], err_msg=k)
+
+
 def test_adamw_load_rejects_shape_mismatch():
     p = Tensor(np.ones(3), dtype=np.float32, requires_grad=True)
     opt = AdamW([p])
     bad = opt.state_entries()
+    bad["opt.t"] = np.array([3.0], dtype=np.float32)
     bad["opt.m.0000"] = np.zeros(5, dtype=np.float32)
     with pytest.raises(ValueError):
         opt.load_state_entries(bad)
+    assert opt.t == 0  # a failed load changes nothing
 
 
 # ---------------------------------------------------------------- augment
