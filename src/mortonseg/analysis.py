@@ -48,30 +48,21 @@ EVAL_CSV_HEADER = ["case_id", "dice_wt", "dice_tc", "dice_et",
 
 
 def write_eval_csv(path, records: list[EvalRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(EVAL_CSV_HEADER)
-        for r in sorted(records, key=lambda r: r.case_id):
-            w.writerow([r.case_id,
-                        *(f"{r.dice[reg]:.6f}" for reg in REGIONS),
-                        *(f"{r.hd95[reg]:.6f}" for reg in REGIONS),
-                        r.volumes["ED"], r.volumes["NCR"], r.volumes["ET"]])
+    write_rows_csv(path, EVAL_CSV_HEADER, (
+        [r.case_id, *(float(r.dice[g]) for g in REGIONS),
+         *(float(r.hd95[g]) for g in REGIONS),
+         r.volumes["ED"], r.volumes["NCR"], r.volumes["ET"]]
+        for r in sorted(records, key=lambda r: r.case_id)))
 
 
 def read_eval_csv(path) -> list[EvalRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(EvalRecord(
-                case_id=row["case_id"],
-                dice={"WT": float(row["dice_wt"]), "TC": float(row["dice_tc"]),
-                      "ET": float(row["dice_et"])},
-                hd95={"WT": float(row["hd95_wt"]), "TC": float(row["hd95_tc"]),
-                      "ET": float(row["hd95_et"])},
-                volumes={"ED": int(row["ed_volume"]),
-                         "NCR": int(row["ncr_volume"]),
-                         "ET": int(row["et_volume"])}))
-    return out
+    return [EvalRecord(
+        case_id=row["case_id"],
+        dice={g: float(row[f"dice_{g.lower()}"]) for g in REGIONS},
+        hd95={g: float(row[f"hd95_{g.lower()}"]) for g in REGIONS},
+        volumes={k: int(row[f"{k.lower()}_volume"])
+                 for k in ("ED", "NCR", "ET")})
+        for row in read_rows_csv(path, EVAL_CSV_HEADER)]
 
 
 def _dice_bins(records: list[EvalRecord]) -> list[list[EvalRecord]]:
@@ -118,12 +109,24 @@ def analyze_et_quintiles(records: list[EvalRecord]) -> list[dict]:
     return rows
 
 
-def write_rows_csv(path, rows: list[dict]) -> None:
-    if not rows:
-        raise ValueError("no rows to write")
+def write_rows_csv(path, header: list, rows) -> None:
+    """Write a header line, then one line per row (no rows: header only).
+
+    Floats print as %.6f and anything else as str(), so a caller that
+    wants another float format passes a string.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        w.writeheader()
-        for row in rows:
-            w.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
-                        for k, v in row.items()})
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row]
+                    for row in rows)
+
+
+def read_rows_csv(path, header: list) -> list[dict]:
+    """Rows of a CSV file as dicts; every column of `header` must be there."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in header if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: no column {', '.join(missing)}")
+        return list(reader)

@@ -97,7 +97,7 @@ def suite(seed: int = 0) -> list:
         [_t(wide, 2, 2, 3, 2), _t(wide, 16, 2, 3, 3, 3), _t(wide, 16)])
     add("dwconv1d", _scalarize(dwconv1d_causal),
         [_t(rng, 6, 3), _t(rng, 3, 4), _t(rng, 3)])
-    add("upsample", _scalarize(lambda x: upsample_nearest3d(x, 2)),
+    add("upsample", _scalarize(upsample_nearest3d),
         [_t(rng, 2, 2, 3, 2)])
     add("instance_norm", _scalarize(instance_norm),
         [_t(rng, 2, 3, 3, 3), _t(rng, 2, lo=0.5, hi=1.5), _t(rng, 2)])
@@ -172,7 +172,7 @@ def _composed_check(seed: int) -> GradCheckResult:
     params = list(model.named_parameters().values())
 
     def fn(*ps):
-        res = model.forward(x, train=False)
+        res = model.forward(x)
         return ce_dice_loss(res.logits, labels, res.commit_loss).total
 
     # tighter step than the per-op default: the chance of an FD interval

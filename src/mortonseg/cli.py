@@ -15,7 +15,6 @@ Exit status: 0 success, 1 validation error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -30,7 +29,7 @@ from .checksuite import run_suite
 from .flops import bench_rows
 from .folds import build_systematic_folds, load_folds, save_folds
 from .gradcheck import Sabotage
-from .metrics import evaluate_case, write_reports_csv
+from .metrics import REGIONS, evaluate_case
 from .network import (Model, NetConfig, desk_config, full_config,
                       sliding_window_infer)
 from .phantom import (compute_region_volumes, generate_phantom, load_dataset,
@@ -79,8 +78,8 @@ def _parse_range(text: str, what: str) -> tuple:
     if len(parts) != 2:
         raise ValueError(f"{what} must be 'lo,hi', got '{text}'")
     lo, hi = float(parts[0]), float(parts[1])
-    if not (0 < lo <= hi):
-        raise ValueError(f"{what} needs 0 < lo <= hi, got '{text}'")
+    if not (0 < lo <= hi < np.inf):
+        raise ValueError(f"{what} needs finite 0 < lo <= hi, got '{text}'")
     return lo, hi
 
 
@@ -135,14 +134,12 @@ def cmd_gradcheck(args) -> int:
     print(f"{len(results) - n_bad}/{len(results)} gradient checks passed")
     if args.out:
         out = _out_dir(args)
-        with open(out / "gradcheck.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["name", "max_rel_error", "max_abs_error",
-                        "n_checked", "passed"])
-            for r in results:
-                w.writerow([r.name, f"{r.max_rel_error:.9e}",
-                            f"{r.max_abs_error:.9e}", r.n_checked,
-                            int(r.passed)])
+        write_rows_csv(out / "gradcheck.csv",
+                       ["name", "max_rel_error", "max_abs_error",
+                        "n_checked", "passed"],
+                       ([r.name, f"{r.max_rel_error:.9e}",
+                         f"{r.max_abs_error:.9e}", r.n_checked, int(r.passed)]
+                        for r in results))
         _echo_config(out, args)
     if n_bad:
         raise NumericalError(f"{n_bad} gradient checks failed")
@@ -221,8 +218,10 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     cases = load_dataset(args.data)
     cfg = _net_config(args.preset, args.resume)
-    if args.lr <= 0 or args.steps < 0:
-        raise ValueError("--lr must be positive and --steps >= 0")
+    if not (0 < args.lr < np.inf and 0 <= args.weight_decay < np.inf
+            and args.steps >= 0):
+        raise ValueError("--lr must be finite and positive, --weight-decay "
+                         "finite and >= 0, and --steps >= 0")
     model = Model(cfg, seed=args.seed)
 
     opt, start = None, 0
@@ -248,12 +247,9 @@ def cmd_train(args) -> int:
                     training_state(model, opt, result.final_step))
     (out / "net_config.json").write_text(
         json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
-    with open(out / "loss_log.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "ce", "dice", "commit", "total"])
-        for row in result.losses:
-            w.writerow([row["step"], f"{row['ce']:.6f}", f"{row['dice']:.6f}",
-                        f"{row['commit']:.6f}", f"{row['total']:.6f}"])
+    loss_header = ["step", "ce", "dice", "commit", "total"]
+    write_rows_csv(out / "loss_log.csv", loss_header,
+                   ([row[k] for k in loss_header] for row in result.losses))
     _echo_config(out, args)
 
     tail = (f"final loss {result.losses[-1]['total']:.4f}; "
@@ -298,7 +294,11 @@ def cmd_eval(args) -> int:
         print(f"{case.case_id}: mean dice {rep.mean_dice():.4f}",
               file=sys.stderr)
 
-    write_reports_csv(out / "metrics.csv", reports)
+    write_rows_csv(out / "metrics.csv",
+                   ["case_id", "region", "dice", "hd95", "sentinel"],
+                   ([r.case_id, g, r.scores[g].dice, r.scores[g].hd95,
+                     int(r.scores[g].sentinel)]
+                    for r in reports for g in REGIONS))
     write_eval_csv(out / "eval_records.csv", records)
     _echo_config(out, args)
 
@@ -315,8 +315,10 @@ def cmd_analyze(args) -> int:
     records = read_eval_csv(args.eval)
     bins = analyze_dice_bins(records)
     quintiles = analyze_et_quintiles(records)
-    write_rows_csv(out / "dice_bins.csv", bins)
-    write_rows_csv(out / "et_quintiles.csv", quintiles)
+    for name, rows in (("dice_bins.csv", bins),
+                       ("et_quintiles.csv", quintiles)):
+        write_rows_csv(out / name, list(rows[0]),
+                       [list(row.values()) for row in rows])
     _echo_config(out, args)
 
     for row in bins:
@@ -395,13 +397,11 @@ def cmd_bench(args) -> int:
     cfg = _net_config(args.preset or "full")
     rows = bench_rows(cfg, resolutions)
 
-    with open(out / "flops.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["resolution", "dual_flops", "reference_flops",
-                    "conv_backbone_flops", "ratio"])
-        for r in rows:
-            w.writerow(["x".join(str(d) for d in r.resolution),
-                        r.dual, r.reference, r.backbone, f"{r.ratio:.6f}"])
+    write_rows_csv(out / "flops.csv",
+                   ["resolution", "dual_flops", "reference_flops",
+                    "conv_backbone_flops", "ratio"],
+                   (["x".join(str(d) for d in r.resolution), r.dual,
+                     r.reference, r.backbone, r.ratio] for r in rows))
     (out / "flops.svg").write_text(_bench_svg(rows))
     _echo_config(out, args)
 

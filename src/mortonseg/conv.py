@@ -121,12 +121,10 @@ def dwconv1d_causal(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(out, (x, w, b), bwd, "dwconv1d")
 
 
-def upsample_nearest3d(x: Tensor, factor: int = 2) -> Tensor:
-    """Repeat each voxel factor^3 times; adjoint sums each block."""
-    if factor < 1:
-        raise ValueError("factor must be a positive integer")
+def upsample_nearest3d(x: Tensor) -> Tensor:
+    """Repeat each voxel 2x2x2 times; adjoint sums each block."""
     c, d, h, w = x.shape
-    f = factor
+    f = 2
     out = x.data.repeat(f, axis=1).repeat(f, axis=2).repeat(f, axis=3)
 
     def bwd(g):

@@ -56,14 +56,8 @@ class FoldAssignment:
 
 
 def build_systematic_folds(cases, seed: int) -> FoldAssignment:
-    """cases: iterable of (case_id, fiv) pairs or objects with those attrs."""
-    pairs = []
-    for c in cases:
-        if isinstance(c, tuple):
-            cid, fiv = c
-        else:
-            cid, fiv = c.case_id, c.stats.fiv
-        pairs.append((str(cid), float(fiv)))
+    """cases: iterable of (case_id, fiv) pairs."""
+    pairs = [(str(cid), float(fiv)) for cid, fiv in cases]
     if len(pairs) < N_FOLDS:
         raise ValueError(f"need at least {N_FOLDS} cases, got {len(pairs)}")
     if len(set(cid for cid, _ in pairs)) != len(pairs):

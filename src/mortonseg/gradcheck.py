@@ -75,8 +75,7 @@ def central_difference(f, x: np.ndarray, coord: tuple, eps: float) -> float:
 
 
 def check_gradients(fn, inputs: list[T.Tensor], name: str = "fn",
-                    eps: float = DEFAULT_EPS, rtol: float = DEFAULT_RTOL,
-                    atol: float = DEFAULT_ATOL, sample: int | None = None,
+                    eps: float = DEFAULT_EPS, sample: int | None = None,
                     seed: int = 0) -> GradCheckResult:
     """Compare fn's analytic input gradients to central differences.
 
@@ -126,7 +125,7 @@ def check_gradients(fn, inputs: list[T.Tensor], name: str = "fn",
             denom = max(abs(ana), abs(num))
             rel_err = abs_err / denom if denom > _REL_FLOOR else 0.0
             n_checked += 1
-            if abs_err > atol + rtol * abs(num):
+            if abs_err > DEFAULT_ATOL + DEFAULT_RTOL * abs(num):
                 passed = False
             if rel_err > max_rel:
                 max_rel = rel_err

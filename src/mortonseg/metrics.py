@@ -14,7 +14,6 @@ linear interpolation between order statistics.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,16 +119,3 @@ def evaluate_case(pred_labels: np.ndarray, gt_labels: np.ndarray,
         scores[region] = RegionScore(dice=dice(pm, gm), hd95=h, sentinel=flag)
     return MetricsReport(case_id=case_id, scores=scores)
 
-
-CSV_HEADER = ["case_id", "region", "dice", "hd95", "sentinel"]
-
-
-def write_reports_csv(path, reports: list[MetricsReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for r in reports:
-            for region in REGIONS:
-                s = r.scores[region]
-                w.writerow([r.case_id, region, f"{s.dice:.6f}",
-                            f"{s.hd95:.6f}", int(s.sentinel)])

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .tensor import Tensor
 
 MAX_BITS = 21  # 3*21 = 63 code bits, fits uint64
@@ -126,29 +125,33 @@ def build_permutation(dims) -> MortonPermutation:
     return MortonPermutation(dims=dims, bits=b, forward=forward, inverse=inverse)
 
 
-def _permute(a: Tensor, order: np.ndarray, inverse: np.ndarray,
-             axis: int) -> Tensor:
-    """Gather along an axis by a bijection; the adjoint gathers by its inverse."""
-    return Tensor._make(np.take(a.data, order, axis=axis), (a,),
-                        lambda g: (np.take(g, inverse, axis=axis),), "permute")
+def _to_sequence(a: np.ndarray, p: MortonPermutation) -> np.ndarray:
+    """(C, X, Y, Z) -> (L, C): gather the voxels in Morton order."""
+    return np.take(a.reshape(a.shape[0], p.length), p.forward, axis=1).T
+
+
+def _to_grid(a: np.ndarray, p: MortonPermutation) -> np.ndarray:
+    """(L, C) -> (C, X, Y, Z): scatter a Morton sequence back to voxels."""
+    return np.take(a, p.inverse, axis=0).T.reshape((a.shape[1],) + p.dims)
 
 
 def gather_sequence(feat: Tensor, p: MortonPermutation) -> Tensor:
-    """(C, X, Y, Z) -> (L, C) in Morton order; tape-recorded."""
-    c = feat.shape[0]
+    """(C, X, Y, Z) -> (L, C) in Morton order; its adjoint is _to_grid."""
     if tuple(feat.shape[1:]) != p.dims:
         raise ValueError(f"feature dims {feat.shape[1:]} != grid {p.dims}")
-    flat = T.reshape(feat, (c, p.length))
-    return T.transpose(_permute(flat, p.forward, p.inverse, 1), (1, 0))
+    return Tensor._make(_to_sequence(feat.data, p), (feat,),
+                        lambda g: (_to_grid(g, p),), "morton_gather")
 
 
 def scatter_back(seq: Tensor, p: MortonPermutation) -> Tensor:
-    """(L, C) Morton sequence -> (C, X, Y, Z); exact inverse of gather."""
-    ln, c = seq.shape
+    """(L, C) Morton sequence -> (C, X, Y, Z); its adjoint is _to_sequence."""
+    ln, _ = seq.shape
     if ln != p.length:
         raise ValueError(f"sequence length {ln} != grid size {p.length}")
-    voxel_order = _permute(seq, p.inverse, p.forward, 0)
-    return T.reshape(T.transpose(voxel_order, (1, 0)), (c,) + p.dims)
+    # the scans' backward walks the gradient token by token: keep it C-order
+    return Tensor._make(
+        _to_grid(seq.data, p), (seq,),
+        lambda g: (np.ascontiguousarray(_to_sequence(g, p)),), "morton_scatter")
 
 
 ORDERINGS = ("morton", "row_major", "axiswise")

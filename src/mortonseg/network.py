@@ -31,6 +31,7 @@ from .vq import (DEFAULT_COMMIT_WEIGHT, DEFAULT_DECAY, DEFAULT_LAPLACE_EPS,
                  ema_update, init_from_batch, make_codebook, quantize)
 
 DICE_EPS = 1e-5
+WINDOW_OVERLAP = 0.5  # fraction of a window shared with its neighbor
 FOREGROUND_CLASSES = (1, 2, 3)
 
 # keys that older net_config.json sidecars carry, each with the one value
@@ -87,11 +88,10 @@ def desk_config(**overrides) -> NetConfig:
     return replace(cfg, **overrides)
 
 
-def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-                  eps: float = 1e-5) -> Tensor:
+def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-channel normalization over the spatial axes, affine."""
     c = x.shape[0]
-    return T.add(T.mul(T.layer_norm(x, axis=(1, 2, 3), eps=eps),
+    return T.add(T.mul(T.layer_norm(x, axis=(1, 2, 3)),
                        T.reshape(gamma, (c, 1, 1, 1))),
                  T.reshape(beta, (c, 1, 1, 1)))
 
@@ -116,7 +116,7 @@ class ConvBlock:
 class ForwardResult:
     logits: Tensor
     commit_loss: Tensor | None           # None when VQ is off
-    vq_batch: tuple | None = None        # (tokens, indices) of a train forward
+    vq_batch: tuple | None = None        # (tokens, indices) when VQ is on
 
 
 class Model:
@@ -231,7 +231,7 @@ class Model:
         batch = (tokens.data.copy(), res.indices)
         return qmap, res.commit_loss, batch
 
-    def forward(self, x, train: bool = False) -> ForwardResult:
+    def forward(self, x) -> ForwardResult:
         if not isinstance(x, Tensor):
             x = Tensor(x)
         if x.ndim != 4 or x.shape[0] != self.cfg.in_channels:
@@ -253,16 +253,14 @@ class Model:
 
         commit = vq_batch = None
         if self.codebook is not None:
-            bot, commit, batch = self._quantize_map(bot)
-            if train:
-                vq_batch = batch
+            bot, commit, vq_batch = self._quantize_map(bot)
 
         skips = [e1, e2, e3, skip4, e5]
         h = bot
         for level in range(4, -1, -1):
             blocks = self.dec[level]
             if level != 4:
-                h = upsample_nearest3d(h, 2)
+                h = upsample_nearest3d(h)
             h = blocks["proj"](h)
             h = blocks["fuse"](T.concat([h, skips[level]], axis=0))
             h = blocks["refine"](h)
@@ -272,7 +270,7 @@ class Model:
                              vq_batch=vq_batch)
 
     def ema_step(self, result: ForwardResult) -> None:
-        """Apply the codebook EMA update recorded during a training forward.
+        """Apply the codebook EMA update recorded during a forward.
 
         An unseeded codebook is initialized from the recorded tokens
         (data-dependent init); a seeded one takes a normal EMA update.
@@ -312,13 +310,13 @@ def one_hot(labels: np.ndarray, num_classes: int, dtype) -> np.ndarray:
 
 
 def ce_dice_loss(logits: Tensor, labels: np.ndarray,
-                 commit: Tensor | None = None,
-                 commit_weight: float = DEFAULT_COMMIT_WEIGHT) -> LossReport:
+                 commit: Tensor | None = None) -> LossReport:
     """Voxel cross-entropy plus soft-Dice over the foreground classes.
 
     dice_loss = 1 - mean_c (2*sum(P_c G_c) + eps)
                          / (sum(P_c^2) + sum(G_c^2) + eps)
-    over c in {1, 2, 3}; total = ce + dice_loss + commit_weight * commit.
+    over c in {1, 2, 3}; total = ce + dice_loss + 0.25 * commit, the
+    weight being vq.DEFAULT_COMMIT_WEIGHT.
     The squared-denominator form keeps the score a measure of voxel
     agreement rather than of softmax sharpness: a prediction with the
     right argmax everywhere scores ~1 even at moderate confidence.
@@ -340,7 +338,7 @@ def ce_dice_loss(logits: Tensor, labels: np.ndarray,
 
     if commit is None:
         commit = Tensor(np.zeros(()), dtype=logits.data.dtype)
-    total = T.add(T.add(ce, dice_loss), T.mul(commit, commit_weight))
+    total = T.add(T.add(ce, dice_loss), T.mul(commit, DEFAULT_COMMIT_WEIGHT))
     return LossReport(ce=ce, dice_loss=dice_loss, commit=commit, total=total)
 
 
@@ -356,8 +354,8 @@ def soft_dice(logits_data: np.ndarray, labels: np.ndarray) -> float:
     return 1.0 - float(rep.dice_loss.data)
 
 
-def sliding_window_infer(model: Model, volume: np.ndarray, window: tuple,
-                         overlap: float = 0.5) -> np.ndarray:
+def sliding_window_infer(model: Model, volume: np.ndarray,
+                         window: tuple) -> np.ndarray:
     """Tile the volume with 50%-overlap windows and average the logits.
 
     Windows are placed on a regular stride grid with an extra end-aligned
@@ -371,7 +369,7 @@ def sliding_window_infer(model: Model, volume: np.ndarray, window: tuple,
         raise ValueError(f"window {window} exceeds volume {volume.shape[1:]}")
 
     def starts(extent, w):
-        stride = max(1, int(round(w * (1.0 - overlap))))
+        stride = max(1, int(round(w * (1.0 - WINDOW_OVERLAP))))
         ss = list(range(0, extent - w + 1, stride))
         if ss[-1] != extent - w:
             ss.append(extent - w)

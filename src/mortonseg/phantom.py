@@ -100,7 +100,6 @@ def _ellipsoid_rho(shape, center, axis_scale) -> np.ndarray:
 
 
 def generate_phantom(seed: int, shape=(32, 32, 32), et_volume_target: int = 150,
-                     noise_sigma: float = BACKGROUND_NOISE,
                      heterogeneity: float | None = None,
                      case_id: str | None = None) -> CaseRecord:
     """Deterministic synthetic case; |ET| within 20% of the target.
@@ -175,7 +174,7 @@ def generate_phantom(seed: int, shape=(32, 32, 32), et_volume_target: int = 150,
     for m in range(len(MODALITY_NAMES)):
         base = rng.uniform(0.55, 0.85)
         vol = np.zeros(shape, dtype=np.float64)
-        vol[brain] = base + rng.normal(0.0, noise_sigma, int(brain.sum()))
+        vol[brain] = base + rng.normal(0.0, BACKGROUND_NOISE, int(brain.sum()))
         # tumor noise replaces (not adds to) the healthy noise, so low-tau
         # tumors are smoother than brain and fiv can drop below 1
         vol[wt] = base
@@ -185,7 +184,7 @@ def generate_phantom(seed: int, shape=(32, 32, 32), et_volume_target: int = 150,
                 continue
             off = (0.10 + rng.uniform(0.0, 0.20)) * rng.choice((-1.0, 1.0)) * tau
             vol[mask] += off
-        vol[wt] += rng.normal(0.0, noise_sigma * tau, int(wt.sum()))
+        vol[wt] += rng.normal(0.0, BACKGROUND_NOISE * tau, int(wt.sum()))
         # background stays exactly zero: brain mask defines "nonzero"
         vol[brain & (np.abs(vol) < 1e-6)] = 1e-6
         vol[~brain] = 0.0

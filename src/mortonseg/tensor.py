@@ -29,6 +29,7 @@ import contextlib
 
 import numpy as np
 
+NORM_EPS = 1e-5  # added to the variance in layer_norm
 _default_dtype = np.float32
 _grad_enabled = True
 # called in order as hook(op, out, parents, backward_fn) for every op built
@@ -471,11 +472,10 @@ def log_softmax(a: Tensor, axis: int = 0) -> Tensor:
     return sub(shifted, tlog(tsum(texp(shifted), axis=axis, keepdims=True)))
 
 
-def layer_norm(a: Tensor, axis: int | tuple = -1,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, axis: int | tuple = -1) -> Tensor:
     """Normalize to zero mean / unit variance along `axis` (no affine)."""
     mu = tmean(a, axis=axis, keepdims=True)
     centered = sub(a, mu)
     var = tmean(mul(centered, centered), axis=axis, keepdims=True)
-    return div(centered, tsqrt(add(var, eps)))
+    return div(centered, tsqrt(add(var, NORM_EPS)))
 

@@ -39,11 +39,11 @@ class AdamW:
 
     def __init__(self, params: list, lr: float = 1e-4,
                  weight_decay: float = 1e-4, beta1: float = ADAM_BETA1,
-                 beta2: float = ADAM_BETA2, eps: float = ADAM_EPS):
+                 beta2: float = ADAM_BETA2):
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.beta1, self.beta2 = beta1, beta2
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -54,7 +54,7 @@ class AdamW:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr = self.beta1, self.beta2, self.lr
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         decay = lr * self.weight_decay
@@ -85,7 +85,7 @@ class AdamW:
                 np.multiply(lr, t1, out=t1)
                 np.divide(vb, bc2, out=t2)
                 np.sqrt(t2, out=t2)
-                np.add(t2, eps, out=t2)
+                np.add(t2, ADAM_EPS, out=t2)
                 np.divide(t1, t2, out=t1)
                 np.subtract(wb, t1, out=wb)
 
@@ -186,7 +186,7 @@ def train(model: Model, cases: list, steps: int, lr: float = 1e-4,
         x, labs = normalize_modalities(case.modalities), case.labels
         if augment:
             x, labs = augment_case(x, labs, rng)
-        result = model.forward(Tensor(x), train=True)
+        result = model.forward(Tensor(x))
         report = ce_dice_loss(result.logits, labs, result.commit_loss)
         row = {"step": step, **report.floats()}
         if not np.isfinite(row["total"]):

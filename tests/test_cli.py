@@ -70,6 +70,9 @@ def test_phantoms_validates_flags(work):
     assert main(["phantoms", "--n", "1", "--et-range", "500,60",
                  "--out", str(work / "x3")]) == 1
     assert main(["phantoms", "--n", "1"]) == 1  # --out required
+    for bounds in ("1,inf", "inf,inf"):  # no finite log-uniform draw
+        assert main(["phantoms", "--n", "1", "--et-range", bounds,
+                     "--out", str(work / "x4")]) == 1
 
 
 # ---------------------------------------------------------------- folds
@@ -149,6 +152,16 @@ def test_train_validates_flags(work, dataset):
                  "--lr", "0", "--out", str(work / "t1")]) == 1
     assert main(["train", "--data", str(dataset), "--steps", "-3",
                  "--out", str(work / "t2")]) == 1
+    # lr must be finite and > 0, weight decay finite and >= 0; a bad value
+    # is rejected before the first step, so no checkpoint is written
+    for flag, value in (("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
+                        ("--weight-decay", "nan"),
+                        ("--weight-decay", "inf"),
+                        ("--weight-decay", "-1")):
+        out = work / f"t_{flag[2:]}_{value}"
+        assert main(["train", "--data", str(dataset), "--steps", "1",
+                     flag, value, "--out", str(out)]) == 1
+        assert not (out / "checkpoint.mseg").exists()
 
 
 # ---------------------------------------------------------------- eval
@@ -163,7 +176,11 @@ def test_eval_scores_dataset(work, dataset, trained):
     assert len(rows) == 8
     assert {r["case_id"] for r in rows} == \
         {f"case_{i:03d}" for i in range(8)}
-    assert (d / "metrics.csv").exists()
+    with open(d / "metrics.csv", newline="") as fh:
+        scores = list(csv.reader(fh))
+    assert scores[0] == ["case_id", "region", "dice", "hd95", "sentinel"]
+    assert len(scores) == 1 + 8 * 3  # one row per case and region
+    assert scores[1][:2] == ["case_000", "WT"]
     # analyze reads this file, so its reader must take it as written
     records = read_eval_csv(d / "eval_records.csv")
     assert [r.case_id for r in records] == [r["case_id"] for r in rows]
@@ -267,6 +284,17 @@ def test_analyze_produces_both_tables(work):
     assert [q["quintile"] for q in quints] == ["1", "2", "3", "4", "5"]
     ets = [float(q["mean_et_volume"]) for q in quints]
     assert ets == sorted(ets)
+
+
+def test_analyze_names_missing_columns(work, capsys):
+    # eval's per-region metrics.csv, given where eval_records.csv belongs
+    src = work / "metrics.csv"
+    src.write_text("case_id,region,dice,hd95,sentinel\nc0,WT,0.5,1.0,0\n")
+    assert main(["analyze", "--eval", str(src),
+                 "--out", str(work / "a_missing")]) == 1
+    err = capsys.readouterr().err
+    assert str(src) in err
+    assert "dice_wt" in err and "et_volume" in err
 
 
 def test_analyze_too_few_cases_fails(work):

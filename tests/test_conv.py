@@ -270,7 +270,7 @@ def test_dwconv_gradients():
 def test_upsample_repeats_blocks():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((2, 2, 3, 2))
-    out = upsample_nearest3d(leaf(x), factor=2)
+    out = upsample_nearest3d(leaf(x))
     assert out.shape == (2, 4, 6, 4)
     for z in range(4):
         for y in range(6):
@@ -279,22 +279,10 @@ def test_upsample_repeats_blocks():
                     out.data[:, z, y, xx], x[:, z // 2, y // 2, xx // 2])
 
 
-def test_upsample_factor1_is_identity():
-    rng = np.random.default_rng(15)
-    x = rng.standard_normal((3, 2, 2, 2))
-    out = upsample_nearest3d(leaf(x), factor=1)
-    np.testing.assert_array_equal(out.data, x)
-
-
-def test_upsample_rejects_nonpositive_factor():
-    with pytest.raises(ValueError):
-        upsample_nearest3d(leaf(np.zeros((1, 2, 2, 2))), factor=0)
-
-
 def test_upsample_gradient_sums_blocks():
-    # The adjoint of repeat is block-sum: seed with ones, expect factor^3.
+    # The adjoint of repeat is block-sum: seed with ones, expect 2^3.
     x = leaf(np.arange(8, dtype=np.float64).reshape(1, 2, 2, 2))
-    out = upsample_nearest3d(x, factor=2)
+    out = upsample_nearest3d(x)
     T.tsum(out).backward()
     np.testing.assert_array_equal(x.grad, np.full((1, 2, 2, 2), 8.0))
 

@@ -397,12 +397,6 @@ def test_folds_bin_edges_monotone():
     assert edges[0] == vals[0] and edges[-1] == vals[-1]
 
 
-def test_folds_accept_case_objects():
-    cases = [generate_phantom(s, case_id=f"p{s}") for s in range(5)]
-    fa = build_systematic_folds(cases, seed=0)
-    assert sorted(fa.assignment) == [f"p{s}" for s in range(5)]
-
-
 def test_folds_reject_bad_inputs():
     with pytest.raises(ValueError):
         build_systematic_folds(synth_pairs(4), seed=0)
@@ -502,7 +496,7 @@ def test_eval_csv_roundtrip(tmp_path):
 def test_rows_csv_roundtrip(tmp_path):
     rows = analyze_dice_bins([rec(i, i / 30.0, et=i) for i in range(25)])
     p = tmp_path / "bins.csv"
-    write_rows_csv(p, rows)
+    write_rows_csv(p, list(rows[0]), [list(r.values()) for r in rows])
     with open(p, newline="") as fh:
         back = list(csv.DictReader(fh))
     assert len(back) == 5
@@ -510,5 +504,7 @@ def test_rows_csv_roundtrip(tmp_path):
     assert int(back[2]["bin"]) == 3
     assert float(back[2]["mean_et_volume"]) == pytest.approx(
         rows[2]["mean_et_volume"], abs=1e-6)
-    with pytest.raises(ValueError):
-        write_rows_csv(tmp_path / "empty.csv", [])
+    # no rows: the header alone, as a zero-step loss log is written
+    empty = tmp_path / "empty.csv"
+    write_rows_csv(empty, ["step", "total"], [])
+    assert empty.read_bytes() == b"step,total\r\n"

@@ -6,8 +6,6 @@ all-pairs matrix, and the 95th percentile from hand-rolled linear
 interpolation between order statistics.
 """
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from mortonseg.metrics import (
     evaluate_case,
     hd95,
     volume_diagonal,
-    write_reports_csv,
 )
 
 NEIGHBORS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
@@ -265,19 +262,3 @@ def test_evaluate_case_rejects_unknown_labels():
         evaluate_case(bad, good)
     with pytest.raises(ValueError):
         evaluate_case(good, bad)
-
-
-def test_reports_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    reps = [evaluate_case(rng.integers(0, 4, (6, 6, 6)),
-                          rng.integers(0, 4, (6, 6, 6)), case_id=f"c{i}")
-            for i in range(3)]
-    path = tmp_path / "scores.csv"
-    write_reports_csv(path, reps)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["case_id", "region", "dice", "hd95", "sentinel"]
-    assert len(rows) == 1 + 3 * len(REGIONS)
-    assert rows[1][0] == "c0" and rows[1][1] == "WT"
-    assert float(rows[1][2]) == pytest.approx(reps[0].scores["WT"].dice,
-                                              abs=1e-6)

@@ -6,9 +6,12 @@ module); sliding-window inference is checked for exactness in the
 degenerate case and full coverage in the tiled case.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from mortonseg import conv, gradcheck, phantom
 from mortonseg import tensor as T
 from mortonseg.network import (
     DICE_EPS,
@@ -25,6 +28,7 @@ from mortonseg.network import (
     soft_dice,
 )
 from mortonseg.tensor import Tensor
+from mortonseg.train import AdamW
 
 FULL_PARAMS = 26_522_644       # includes the codebook table
 FULL_PARAMS_NO_CB = 26_260_500
@@ -212,7 +216,7 @@ def test_commit_term_scales_total():
     logits = Tensor(rng.standard_normal((4, 4, 4, 4)), dtype=np.float64)
     labels = rng.integers(0, 4, size=(4, 4, 4))
     commit = Tensor(np.array(0.8), dtype=np.float64)
-    rep = ce_dice_loss(logits, labels, commit, commit_weight=0.25)
+    rep = ce_dice_loss(logits, labels, commit)
     base = ce_dice_loss(logits, labels)
     assert float(rep.total.data) == pytest.approx(
         float(base.total.data) + 0.25 * 0.8, rel=1e-10)
@@ -253,7 +257,6 @@ def test_forward_shapes_and_validation():
     out = m.forward(x)
     assert out.logits.shape == (4, 32, 32, 32)
     assert out.commit_loss is not None
-    assert out.vq_batch is None  # eval mode records nothing
     with pytest.raises(ValueError):
         m.forward(x[:3])
     with pytest.raises(ValueError):
@@ -273,7 +276,7 @@ def test_untrained_model_predicts_uniform():
 def test_vq_disabled_drops_commit():
     m = Model(tiny_config(vq_enabled=False), seed=0)
     x = np.random.default_rng(9).standard_normal((4, 32, 32, 32)).astype(np.float32)
-    out = m.forward(x, train=True)
+    out = m.forward(x)
     assert out.commit_loss is None
     assert out.vq_batch is None
     assert m.codebook is None
@@ -285,11 +288,11 @@ def test_ema_step_seeds_codebook_then_updates():
     m = Model(tiny_config(vq_k=16), seed=2)
     assert not m.codebook.initialized
     x = np.random.default_rng(11).standard_normal((4, 32, 32, 32)).astype(np.float32)
-    out = m.forward(x, train=True)
+    out = m.forward(x)
     m.ema_step(out)
     assert m.codebook.initialized
     before = m.codebook.ema_cluster_size.copy()
-    out = m.forward(x, train=True)
+    out = m.forward(x)
     m.ema_step(out)
     assert not np.array_equal(m.codebook.ema_cluster_size, before)
 
@@ -298,7 +301,7 @@ def test_state_dict_roundtrip_bit_exact():
     cfg = tiny_config()
     a = Model(cfg, seed=3)
     x = np.random.default_rng(12).standard_normal((4, 32, 32, 32)).astype(np.float32)
-    out = a.forward(x, train=True)
+    out = a.forward(x)
     a.ema_step(out)
     ref = a.forward(x).logits.data
 
@@ -370,3 +373,20 @@ def test_sliding_window_rejects_oversized_window():
     x = np.zeros((4, 32, 32, 32), np.float32)
     with pytest.raises(ValueError):
         sliding_window_infer(m, x, (48, 32, 32))
+
+
+@pytest.mark.parametrize("fn, removed", [
+    (conv.upsample_nearest3d, "factor"),
+    (instance_norm, "eps"),
+    (T.layer_norm, "eps"),
+    (sliding_window_infer, "overlap"),
+    (ce_dice_loss, "commit_weight"),
+    (Model.forward, "train"),
+    (phantom.generate_phantom, "noise_sigma"),
+    (gradcheck.check_gradients, "rtol"),
+    (gradcheck.check_gradients, "atol"),
+    (AdamW, "eps"),
+])
+def test_fixed_settings_are_constants(fn, removed):
+    # each is one value everywhere the package calls it, so not a parameter
+    assert removed not in inspect.signature(fn).parameters

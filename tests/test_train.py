@@ -71,8 +71,7 @@ def test_adamw_matches_reference_formula():
     init = rng.standard_normal((3, 4))
     grads = [rng.standard_normal((3, 4)) for _ in range(5)]
     p = Tensor(init.copy(), dtype=np.float64, requires_grad=True)
-    opt = AdamW([p], lr=0.01, weight_decay=0.1, beta1=0.8, beta2=0.9,
-                eps=1e-8)
+    opt = AdamW([p], lr=0.01, weight_decay=0.1, beta1=0.8, beta2=0.9)
     for g in grads:
         p.grad = g.copy()
         opt.step()
