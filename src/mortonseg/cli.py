@@ -29,7 +29,7 @@ from .checksuite import run_suite
 from .flops import bench_rows
 from .folds import build_systematic_folds, load_folds, save_folds
 from .gradcheck import Sabotage
-from .metrics import REGIONS, evaluate_case
+from .metrics import CSV_HEADER, evaluate_case, report_rows
 from .network import (Model, NetConfig, desk_config, full_config,
                       sliding_window_infer)
 from .phantom import (compute_region_volumes, generate_phantom, load_dataset,
@@ -294,11 +294,7 @@ def cmd_eval(args) -> int:
         print(f"{case.case_id}: mean dice {rep.mean_dice():.4f}",
               file=sys.stderr)
 
-    write_rows_csv(out / "metrics.csv",
-                   ["case_id", "region", "dice", "hd95", "sentinel"],
-                   ([r.case_id, g, r.scores[g].dice, r.scores[g].hd95,
-                     int(r.scores[g].sentinel)]
-                    for r in reports for g in REGIONS))
+    write_rows_csv(out / "metrics.csv", CSV_HEADER, report_rows(reports))
     write_eval_csv(out / "eval_records.csv", records)
     _echo_config(out, args)
 

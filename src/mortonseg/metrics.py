@@ -119,3 +119,13 @@ def evaluate_case(pred_labels: np.ndarray, gt_labels: np.ndarray,
         scores[region] = RegionScore(dice=dice(pm, gm), hd95=h, sentinel=flag)
     return MetricsReport(case_id=case_id, scores=scores)
 
+
+
+CSV_HEADER = ["case_id", "region", "dice", "hd95", "sentinel"]
+
+
+def report_rows(reports: list[MetricsReport]):
+    """One CSV_HEADER row per case and region, in REGIONS order."""
+    return ([r.case_id, g, r.scores[g].dice, r.scores[g].hd95,
+             int(r.scores[g].sentinel)]
+            for r in reports for g in REGIONS)

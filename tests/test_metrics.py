@@ -6,15 +6,20 @@ all-pairs matrix, and the 95th percentile from hand-rolled linear
 interpolation between order statistics.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
+from mortonseg.analysis import write_rows_csv
 from mortonseg.metrics import (
+    CSV_HEADER,
     REGIONS,
     boundary_voxels,
     dice,
     evaluate_case,
     hd95,
+    report_rows,
     volume_diagonal,
 )
 
@@ -262,3 +267,23 @@ def test_evaluate_case_rejects_unknown_labels():
         evaluate_case(bad, good)
     with pytest.raises(ValueError):
         evaluate_case(good, bad)
+
+
+def test_reports_csv_roundtrip(tmp_path):
+    rng = np.random.default_rng(9)
+    reps = [evaluate_case(rng.integers(0, 4, (6, 6, 6)),
+                          rng.integers(0, 4, (6, 6, 6)), case_id=f"c{i}")
+            for i in range(3)]
+    path = tmp_path / "scores.csv"
+    write_rows_csv(path, CSV_HEADER, report_rows(reps))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["case_id", "region", "dice", "hd95", "sentinel"]
+    assert len(rows) == 1 + 3 * len(REGIONS)
+    for row, (rep, region) in zip(rows[1:], [(r, g) for r in reps
+                                             for g in REGIONS]):
+        s = rep.scores[region]
+        assert row[:2] == [rep.case_id, region]
+        assert float(row[2]) == pytest.approx(s.dice, abs=1e-6)
+        assert float(row[3]) == pytest.approx(s.hd95, abs=1e-6)
+        assert int(row[4]) == int(s.sentinel)
