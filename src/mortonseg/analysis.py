@@ -129,4 +129,9 @@ def read_rows_csv(path, header: list) -> list[dict]:
         missing = [c for c in header if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path}: no column {', '.join(missing)}")
-        return list(reader)
+        rows = []
+        for row in reader:
+            if None in row.values():  # DictReader's filler for a short row
+                raise ValueError(f"{path}: line {reader.line_num} is short")
+            rows.append(row)
+        return rows

@@ -49,10 +49,20 @@ class FoldAssignment:
     @classmethod
     def from_json(cls, text: str) -> "FoldAssignment":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("top level must be a JSON object")
+        for field in ("assignment", "bins"):
+            if not (isinstance(d[field], dict) and all(
+                    type(v) is int and 1 <= v <= N_FOLDS
+                    for v in d[field].values())):
+                raise ValueError(f"'{field}' must map cases to 1..{N_FOLDS}")
+        edges = d["bin_edges"]
+        if not (isinstance(edges, list) and len(edges) == N_FOLDS + 1
+                and all(type(e) in (int, float) for e in edges)):
+            raise ValueError(f"'bin_edges' must hold {N_FOLDS + 1} numbers")
         return cls(version=d["version"], seed=int(d["seed"]),
-                   bin_edges=[float(x) for x in d["bin_edges"]],
-                   assignment={k: int(v) for k, v in d["assignment"].items()},
-                   bins={k: int(v) for k, v in d["bins"].items()})
+                   bin_edges=[float(x) for x in edges],
+                   assignment=d["assignment"], bins=d["bins"])
 
 
 def build_systematic_folds(cases, seed: int) -> FoldAssignment:
@@ -111,4 +121,9 @@ def save_folds(path, fa: FoldAssignment) -> None:
 
 
 def load_folds(path) -> FoldAssignment:
-    return FoldAssignment.from_json(Path(path).read_text())
+    try:
+        return FoldAssignment.from_json(Path(path).read_text())
+    except KeyError as e:
+        raise ValueError(f"{path}: no field {e}") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

