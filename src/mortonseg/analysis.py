@@ -131,7 +131,11 @@ def read_rows_csv(path, header: list) -> list[dict]:
             raise ValueError(f"{path}: no column {', '.join(missing)}")
         rows = []
         for row in reader:
-            if None in row.values():  # DictReader's filler for a short row
-                raise ValueError(f"{path}: line {reader.line_num} is short")
+            # DictReader fills a short row with None values and files a
+            # long row's extra fields under the key None
+            if None in row or None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num} does not "
+                                 f"have the header's {len(reader.fieldnames)}"
+                                 " fields")
             rows.append(row)
         return rows

@@ -63,7 +63,6 @@ def suite(seed: int = 0) -> list:
     add("div", _scalarize(T.div), [_t(rng, 3, 4), c])
     add("neg", _scalarize(T.neg), [_t(rng, 5)])
     add("exp", _scalarize(T.texp), [_t(rng, 3, 3)])
-    add("relu", _scalarize(T.relu), [_t(rng, 4, 4)])
     add("sigmoid", _scalarize(T.sigmoid), [_t(rng, 4, 4, lo=-3, hi=3)])
     add("silu", _scalarize(T.silu), [_t(rng, 4, 4, lo=-3, hi=3)])
     add("softplus", _scalarize(T.softplus), [_t(rng, 4, 4, lo=-3, hi=3)])

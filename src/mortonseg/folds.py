@@ -51,6 +51,9 @@ class FoldAssignment:
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("top level must be a JSON object")
+        if d["version"] != FORMAT_VERSION:
+            raise ValueError(f"'version' must be {FORMAT_VERSION!r}, "
+                             f"got {d['version']!r}")
         for field in ("assignment", "bins"):
             if not (isinstance(d[field], dict) and all(
                     type(v) is int and 1 <= v <= N_FOLDS

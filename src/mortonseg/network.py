@@ -11,6 +11,10 @@ nearest-neighbor upsampling and concatenated skips; the head is a 1x1x1
 conv initialized to zero so an untrained model predicts the uniform
 distribution everywhere.
 
+Every convolution is a ConvBlock: a conv3d and its epilogue, instance
+norm, affine and ReLU, which is one tape op (`instance_norm`) whose
+backward recomputes the normalized input instead of storing it.
+
 All learnable arrays live in named Tensors; `state_dict` collects them
 (plus codebook EMA state) for checkpointing.
 """
@@ -97,15 +101,42 @@ def desk_config(**overrides) -> NetConfig:
 
 
 def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-channel normalization over the spatial axes, affine."""
-    c = x.shape[0]
-    return T.add(T.mul(T.layer_norm(x, axis=(1, 2, 3)),
-                       T.reshape(gamma, (c, 1, 1, 1))),
-                 T.reshape(beta, (c, 1, 1, 1)))
+    """relu(gamma * x_hat + beta): per-channel norm over the spatial axes,
+    affine and ReLU as one op.
+
+    x_hat = (x - mean) / sigma is `T.standardize` per channel. The tape
+    keeps only the per-channel mean and sigma besides x and the output y:
+    backward recomputes x_hat and takes the ReLU mask from y > 0, then
+    g_y = g [y > 0], g_gamma = sum(g_y x_hat), g_beta = sum(g_y) and
+    gx = (gamma g_y - mean(gamma g_y) - x_hat mean(gamma g_y x_hat)) / sigma.
+    """
+    axes = (1, 2, 3)
+    xd, gam = x.data, gamma.data
+    col = (x.shape[0], 1, 1, 1)
+    n = xd[0].size
+    y, mean, sigma = T.standardize(xd, axes)
+    y *= gam.reshape(col)
+    y += beta.data.reshape(col)
+    np.maximum(y, 0, out=y)
+
+    def bwd(g):
+        g = g * (y > 0)
+        x_hat = xd - mean
+        x_hat /= sigma
+        g_beta = g.sum(axis=axes)
+        g_gamma = (g * x_hat).sum(axis=axes)
+        g *= gam.reshape(col)
+        g -= (gam * g_beta / n).reshape(col)
+        x_hat *= (gam * g_gamma / n).reshape(col)
+        g -= x_hat
+        g /= sigma
+        return g, g_gamma, g_beta
+
+    return Tensor._make(y, (x, gamma, beta), bwd, "instance_norm")
 
 
 class ConvBlock:
-    """3x3x3 conv3d (pad 1) -> instance norm -> relu."""
+    """3x3x3 conv3d (pad 1) -> instance_norm (norm, affine and relu)."""
 
     def __init__(self, rng: np.random.Generator, cin: int, cout: int):
         std = (2.0 / (cin * 27)) ** 0.5
@@ -116,8 +147,8 @@ class ConvBlock:
         self.beta = Tensor(np.zeros(cout), requires_grad=True)
 
     def __call__(self, x: Tensor, stride: int = 1) -> Tensor:
-        return T.relu(instance_norm(conv3d(x, self.w, self.b, stride),
-                                    self.gamma, self.beta))
+        return instance_norm(conv3d(x, self.w, self.b, stride),
+                             self.gamma, self.beta)
 
 
 @dataclass

@@ -32,7 +32,7 @@ import contextlib
 
 import numpy as np
 
-NORM_EPS = 1e-5  # added to the variance in layer_norm
+NORM_EPS = 1e-5  # added to the variance in standardize, which both norms use
 _default_dtype = np.float32
 _grad_enabled = True
 # called in order as hook(op, out, parents, backward_fn) for every op built
@@ -304,12 +304,6 @@ def texp(a: Tensor) -> Tensor:
     return Tensor._make(e, (a,), lambda g: (g * e,), "exp")
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return Tensor._make(
-        np.where(mask, a.data, 0), (a,), lambda g: (g * mask,), "relu")
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # stable in both tails
     out = np.empty_like(x)
@@ -437,16 +431,25 @@ def log_softmax(a: Tensor, axis: int = 0) -> Tensor:
         "log_softmax")
 
 
+def standardize(x: np.ndarray, axis) -> tuple:
+    """(x - mean) / sigma along `axis` in a new array, with mean and sigma.
+
+    sigma = sqrt(var + NORM_EPS); both norms share this order of operations.
+    """
+    mean = x.mean(axis=axis, keepdims=True)
+    y = x - mean
+    sigma = np.sqrt((y * y).mean(axis=axis, keepdims=True) + NORM_EPS)
+    y /= sigma
+    return y, mean, sigma
+
+
 def layer_norm(a: Tensor, axis: int | tuple = -1) -> Tensor:
     """Normalize to zero mean / unit variance along `axis` (no affine).
 
     Backward is the closed form gx = (g - mean(g) - y * mean(g * y)) / sigma
     (Ba, Kiros & Hinton 2016): the tape keeps only y and sigma.
     """
-    centered = a.data - a.data.mean(axis=axis, keepdims=True)
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    sigma = np.sqrt(var + NORM_EPS)
-    y = centered / sigma
+    y, _, sigma = standardize(a.data, axis)
 
     def bwd(g):
         gy = (g * y).mean(axis=axis, keepdims=True)

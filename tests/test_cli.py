@@ -220,6 +220,20 @@ def test_eval_rejects_malformed_folds_file(work, dataset, trained, capsys):
     assert str(folds) in err and "'assignment'" in err
 
 
+def test_eval_rejects_unknown_folds_version(work, dataset, trained, capsys):
+    folds_dir = work / "folds_v99"
+    assert main(["folds", "--data", str(dataset), "--out", str(folds_dir)]) == 0
+    folds = folds_dir / "folds.json"
+    folds.write_text(folds.read_text().replace('"version": "1"',
+                                               '"version": "99"'))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(trained / "checkpoint.mseg"),
+                 "--data", str(dataset), "--folds", str(folds),
+                 "--fold", "1", "--out", str(work / "scores_v99")]) == 1
+    err = capsys.readouterr().err
+    assert str(folds) in err and "'version'" in err and "Traceback" not in err
+
+
 def test_eval_missing_checkpoint_is_io_error(work, dataset):
     assert main(["eval", "--checkpoint", str(work / "no.mseg"),
                  "--data", str(dataset), "--out", str(work / "s2")]) == 3
@@ -371,7 +385,7 @@ def test_bench_rejects_bad_resolution(work):
 
 def test_gradcheck_filtered_passes(work, capsys):
     d = work / "gc"
-    rc = main(["gradcheck", "--op", "relu", "--out", str(d)])
+    rc = main(["gradcheck", "--op", "instance_norm", "--out", str(d)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "gradient checks passed" in out

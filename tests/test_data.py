@@ -439,6 +439,7 @@ def malformed_folds(**change):
                  "bin_edges", id="string_edge"),
     pytest.param({k: v for k, v in malformed_folds().items() if k != "seed"},
                  "seed", id="no_seed"),
+    pytest.param(malformed_folds(version="99"), "version", id="version_99"),
 ])
 def test_load_folds_rejects_malformed_file(tmp_path, doc, field):
     p = tmp_path / "folds.json"
@@ -531,6 +532,17 @@ def test_eval_csv_short_row_names_file_and_line(tmp_path):
     write_eval_csv(p, [rec(0, 0.5, et=10)])
     with open(p, "a", newline="") as fh:
         fh.write("case_000,0.5\r\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: line 3")):
+        read_eval_csv(p)
+
+
+def test_eval_csv_long_row_names_file_and_line(tmp_path):
+    p = tmp_path / "eval.csv"
+    write_eval_csv(p, [rec(0, 0.5, et=10)])
+    with open(p, newline="") as fh:
+        row = fh.read().splitlines()[1]
+    with open(p, "a", newline="") as fh:
+        fh.write(row.replace("r00", "r01") + ",extra,more\r\n")
     with pytest.raises(ValueError, match=re.escape(f"{p}: line 3")):
         read_eval_csv(p)
 

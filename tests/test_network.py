@@ -127,28 +127,78 @@ def test_param_names_unique_and_complete():
 
 # ---------------------------------------------------------------- norm
 
+def norm_inputs(dtype, c=3, shape=(4, 5, 6), gamma=None, beta=None, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((c,) + shape) * 7 + 3
+    g = rng.uniform(0.5, 1.5, c) if gamma is None else gamma
+    b = rng.normal(0.0, 0.5, c) if beta is None else beta
+    return [Tensor(a, requires_grad=True, dtype=dtype)
+            for a in (x, np.asarray(g, float), np.asarray(b, float))]
+
+
+def chained_instance_norm(x, gamma, beta):
+    """The composed epilogue: layer_norm, affine, then np.maximum(., 0)."""
+    c = x.shape[0]
+    pre = T.add(T.mul(T.layer_norm(x, axis=(1, 2, 3)),
+                      T.reshape(gamma, (c, 1, 1, 1))),
+                T.reshape(beta, (c, 1, 1, 1)))
+    mask = pre.data > 0
+    return Tensor._make(np.maximum(pre.data, 0), (pre,),
+                        lambda g: (g * mask,), "relu")
+
+
 def test_instance_norm_standardizes_channels():
-    rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal((3, 4, 5, 2)) * 7 + 3, dtype=np.float64)
-    g = Tensor(np.ones(3), dtype=np.float64)
-    b = Tensor(np.zeros(3), dtype=np.float64)
+    # gamma = 1 and a beta far above any |x_hat|, so the relu clips nothing
+    x, g, b = norm_inputs(np.float64, gamma=np.ones(3), beta=np.full(3, 50.0))
     out = instance_norm(x, g, b).data
+    assert out.min() > 0
     for c in range(3):
-        assert out[c].mean() == pytest.approx(0.0, abs=1e-10)
+        assert out[c].mean() - 50.0 == pytest.approx(0.0, abs=1e-10)
         assert out[c].std() == pytest.approx(1.0, abs=1e-4)
 
 
 def test_instance_norm_affine():
-    rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal((2, 3, 3, 3)), dtype=np.float64)
-    ones = Tensor(np.ones(2), dtype=np.float64)
-    zeros = Tensor(np.zeros(2), dtype=np.float64)
-    base = instance_norm(x, ones, zeros).data
+    x = norm_inputs(np.float64, c=2, shape=(3, 3, 3), seed=1)[0]
+    x_hat = T.layer_norm(x, axis=(1, 2, 3)).data
     g = Tensor(np.array([2.0, 0.5]), dtype=np.float64)
     b = Tensor(np.array([1.0, -1.0]), dtype=np.float64)
     out = instance_norm(x, g, b).data
-    np.testing.assert_allclose(out[0], base[0] * 2.0 + 1.0, atol=1e-12)
-    np.testing.assert_allclose(out[1], base[1] * 0.5 - 1.0, atol=1e-12)
+    np.testing.assert_allclose(out[0], np.maximum(0, x_hat[0] * 2.0 + 1.0),
+                               atol=1e-12)
+    np.testing.assert_allclose(out[1], np.maximum(0, x_hat[1] * 0.5 - 1.0),
+                               atol=1e-12)
+    assert (out[1] == 0).any() and (out[1] > 0).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_instance_norm_forward_matches_the_chain_bit_for_bit(dtype):
+    ins = norm_inputs(dtype)
+    got = instance_norm(*ins).data
+    want = chained_instance_norm(*ins).data
+    assert got.dtype == dtype and (got == 0).any()
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def test_instance_norm_matches_the_chain_in_f64():
+    probe = np.cos(np.arange(3 * 4 * 5 * 6)).reshape(3, 4, 5, 6)
+    results = []
+    for fn in (instance_norm, chained_instance_norm):
+        ins = norm_inputs(np.float64, seed=2)
+        out = fn(*ins)
+        T.tsum(T.mul(out, Tensor(probe, dtype=np.float64))).backward()
+        results.append([out.data] + [t.grad for t in ins])
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_instance_norm_backward_holds_only_per_channel_arrays():
+    x, g, b = norm_inputs(np.float64, c=3)
+    y = instance_norm(x, g, b)
+    held = [c.cell_contents for c in y._backward_fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    big = [h for h in held if h.size > 3]
+    assert len(big) == 2
+    assert any(h is x.data for h in big) and any(h is y.data for h in big)
 
 
 # ---------------------------------------------------------------- tape
@@ -166,11 +216,10 @@ def recorded_ops(fn) -> list:
     return ops
 
 
-def test_conv_block_records_seven_ops():
+def test_conv_block_records_two_ops():
     m = Model(tiny_config(), seed=0)
     x = Tensor(np.random.default_rng(2).standard_normal((4, 4, 4, 4)))
-    assert recorded_ops(lambda: m.enc[0][0](x)) == [
-        "conv3d", "layer_norm", "reshape", "mul", "reshape", "add", "relu"]
+    assert recorded_ops(lambda: m.enc[0][0](x)) == ["conv3d", "instance_norm"]
 
 
 def test_scan_block_norm_is_one_op():

@@ -35,7 +35,6 @@ def scalarize(fn):
 UNARY_OPS = [
     ("neg", T.neg, (-2.0, 2.0)),
     ("exp", T.texp, (-2.0, 2.0)),
-    ("relu", T.relu, (0.5, 3.0)),       # stay off the kink
     ("sigmoid", T.sigmoid, (-3.0, 3.0)),
     ("silu", T.silu, (-3.0, 3.0)),
     ("softplus", T.softplus, (-3.0, 3.0)),
@@ -50,7 +49,7 @@ BINARY_OPS = [
 
 
 # pinned test ids, so each case keeps its name across revisions of the list
-UNARY_IDS = ["neg-neg-box0", "exp-texp-box1", "relu-relu-box4",
+UNARY_IDS = ["neg-neg-box0", "exp-texp-box1",
              "sigmoid-sigmoid-box5", "silu-silu-box6",
              "softplus-softplus-box7"]
 
@@ -323,13 +322,3 @@ def test_sum_linearity(values):
     x = T.Tensor(values, requires_grad=True, dtype=np.float64)
     T.tsum(T.mul(x, 3.0)).backward()
     assert np.allclose(x.grad, 3.0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
-def test_relu_gradient_is_step_mask(rows, cols, seed):
-    rng = make_rng(seed)
-    x = T.Tensor(rng.normal(0, 1, (rows, cols)), requires_grad=True,
-                 dtype=np.float64)
-    T.tsum(T.relu(x)).backward()
-    assert np.array_equal(x.grad, (x.data > 0).astype(np.float64))
