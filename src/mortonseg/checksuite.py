@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .conv import conv3d, dwconv1d_causal, upsample_nearest3d
+from .conv import (conv3d, dwconv1d_causal, upsample_conv3d,
+                   upsample_nearest3d)
 from .gradcheck import GradCheckResult, check_gradients
 from .morton import build_permutation, gather_sequence, scatter_back
 from .network import Model, ce_dice_loss, desk_config, instance_norm
@@ -95,6 +96,13 @@ def suite(seed: int = 0) -> list:
         [_t(rng, 6, 3), _t(rng, 3, 4), _t(rng, 3)])
     add("upsample3d", _scalarize(upsample_nearest3d),
         [_t(rng, 2, 2, 3, 2)])
+    # a 2x3x2 grid runs folded and a 1x2x1 grid with C_out = 5 composed;
+    # like conv3d_wide, their own stream
+    up = make_rng(seed, 0xC5)
+    add("upsample_conv3d_folded", _scalarize(upsample_conv3d),
+        [_t(up, 2, 2, 3, 2), _t(up, 3, 2, 3, 3, 3), _t(up, 3)])
+    add("upsample_conv3d_composed", _scalarize(upsample_conv3d),
+        [_t(up, 2, 1, 2, 1), _t(up, 5, 2, 3, 3, 3), _t(up, 5)])
     add("instance_norm", _scalarize(instance_norm),
         [_t(rng, 2, 3, 3, 3), _t(rng, 2, lo=0.5, hi=1.5), _t(rng, 2)])
 

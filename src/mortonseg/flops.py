@@ -5,6 +5,12 @@ Formula sheet (multiply-accumulate counted as 2 FLOPs):
   convolution layer        2 * k^3 * C_in * C_out * output_voxels
                            (bias, normalization and relu excluded: they
                            are O(C * voxels) against the k^3 term)
+  upsample, then 3^3 conv  the layer above with k = 2 where
+                           conv.upsample_conv_folds holds (8 phases x 2^3
+                           low-res taps per low-res voxel, so 8 taps per
+                           output voxel), k = 3 where the op upsamples and
+                           then convolves (at both presets' widths, the
+                           2^3 low-res grid)
   scan, one direction      9 * L * E * N   recurrence core per token,
                            channel and state, all inside the fused
                            ssm.linear_recurrence op: discretization 3
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .conv import upsample_conv_folds
 from .network import NetConfig
 from .ssm import DWCONV_WIDTH
 
@@ -76,11 +83,13 @@ def conv_backbone_flops(cfg: NetConfig, resolution: tuple) -> int:
         total += conv_layer_flops(3, cin, c, v)   # stage conv (maybe strided)
         total += conv_layer_flops(3, c, c, v)     # refine conv
         cin = c
-    # decoder level i in 1..5 works at the stage-i grid with its width
+    # decoder level i in 1..5 works at the stage-i grid with its width;
+    # levels 1-4 upsample the level below inside their proj conv
     for i in range(5):
         lo, hi = ch[i], ch[i + 1]
         v = _vox(grids[i])
-        total += conv_layer_flops(3, hi, lo, v)        # proj after upsample
+        k = 2 if i < 4 and upsample_conv_folds(grids[i + 1], lo) else 3
+        total += conv_layer_flops(k, hi, lo, v)        # proj
         total += conv_layer_flops(3, 2 * lo, lo, v)    # fuse with the skip
         total += conv_layer_flops(3, lo, lo, v)        # refine
     total += conv_layer_flops(1, ch[0], cfg.num_classes, _vox(grids[0]))

@@ -7,9 +7,10 @@ one bidirectional Morton-scan block on the bottleneck (1/16 resolution)
 and one on the deepest skip path (1/8), the latter turning that skip from
 a passive copy into a context-aware branch. Bottleneck features are
 vector-quantized before decoding. The decoder mirrors the encoder with
-nearest-neighbor upsampling and concatenated skips; the head is a 1x1x1
-conv initialized to zero so an untrained model predicts the uniform
-distribution everywhere.
+concatenated skips; each level's first conv runs on the level below
+upsampled 2x nearest-neighbor, as one op that folds the upsample into the
+kernel (`upsample_conv3d`). The head is a 1x1x1 conv initialized to zero
+so an untrained model predicts the uniform distribution everywhere.
 
 Every convolution is a ConvBlock: a conv3d and its epilogue, instance
 norm, affine and ReLU, which is one tape op (`instance_norm`) whose
@@ -26,7 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .conv import conv3d, upsample_nearest3d
+from .conv import conv3d, upsample_conv3d
+from .conv import upsample_nearest3d  # noqa: F401  bound by perfbench's tracer
 from .morton import build_permutation
 from .rng import make_rng
 from .ssm import bidir_scan_block, init_ssm_params
@@ -148,6 +150,12 @@ class ConvBlock:
 
     def __call__(self, x: Tensor, stride: int = 1) -> Tensor:
         return instance_norm(conv3d(x, self.w, self.b, stride),
+                             self.gamma, self.beta)
+
+    def upsampled(self, x: Tensor) -> Tensor:
+        """The block on upsample_nearest3d(x), the upsample folded into
+        the conv (`upsample_conv3d`)."""
+        return instance_norm(upsample_conv3d(x, self.w, self.b),
                              self.gamma, self.beta)
 
 
@@ -298,9 +306,8 @@ class Model:
         h = bot
         for level in range(4, -1, -1):
             blocks = self.dec[level]
-            if level != 4:
-                h = upsample_nearest3d(h)
-            h = blocks["proj"](h)
+            proj = blocks["proj"]
+            h = proj(h) if level == 4 else proj.upsampled(h)
             h = blocks["fuse"](T.concat([h, skips[level]], axis=0))
             h = blocks["refine"](h)
 

@@ -2,7 +2,8 @@
 
 conv3d is verified coordinate by coordinate against a six-deep loop that
 applies the definition (pad k//2, stride via output-grid subsampling), the
-causal depthwise conv against its recurrence, and upsampling against repeat.
+causal depthwise conv against its recurrence, upsampling against repeat,
+and the fused upsample-then-conv against the two ops it replaces.
 Gradients go through the central-difference checker.
 """
 
@@ -14,6 +15,8 @@ from mortonseg.conv import (
     conv3d,
     conv_out_extent,
     dwconv1d_causal,
+    upsample_conv3d,
+    upsample_conv_folds,
     upsample_nearest3d,
 )
 from mortonseg.gradcheck import check_gradients
@@ -297,3 +300,53 @@ def test_upsample_gradients():
 
     res = check_gradients(fn, [x], "upsample", sample=40, seed=17)
     assert res.passed, res
+
+
+# ---------------------------------------------------------------- upsample_conv3d
+
+@pytest.mark.parametrize("shape,cout,folded", [
+    ((3, 5, 2, 3), 4, True), ((2, 1, 3, 2), 3, True), ((2, 4, 4, 4), 5, True),
+    ((3, 1, 2, 1), 8, False), ((2, 2, 2, 2), 24, False)])
+def test_upsample_conv3d_matches_upsample_then_conv(shape, cout, folded):
+    # output and all three gradients against conv3d(upsample_nearest3d(x))
+    assert upsample_conv_folds(shape[1:], cout) == folded
+    rng = np.random.default_rng(30 + cout)
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((cout, shape[0], 3, 3, 3))
+    b = rng.standard_normal(cout)
+    g = rng.standard_normal((cout,) + tuple(2 * e for e in shape[1:]))
+    results, ops = [], []
+    for fn in (upsample_conv3d,
+               lambda x, w, b: conv3d(upsample_nearest3d(x), w, b)):
+        ts = [leaf(a) for a in (x, w, b)]
+        y = fn(*ts)
+        y.backward(g)
+        results.append([y.data] + [t.grad for t in ts])
+        ops.append(y.op)
+    assert ops[0] == ("upsample_conv3d" if folded else "conv3d")
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def test_upsample_conv3d_records_one_op_when_folded():
+    rng = np.random.default_rng(40)
+    x = leaf(rng.standard_normal((3, 4, 5, 3)))
+    w = leaf(rng.standard_normal((2, 3, 3, 3, 3)))
+    y = upsample_conv3d(x, w, leaf(np.zeros(2)))
+    assert y.op == "upsample_conv3d" and y._parents[0] is x
+    # the tape keeps the padded low-res input, not the 8x upsampled grid
+    held = [a for a in closure_arrays(y._backward_fn) if a is not x.data]
+    assert max(a.size for a in held) < 8 * x.size
+
+
+def test_upsample_conv3d_rejects_bad_shapes():
+    rng = np.random.default_rng(41)
+    x = leaf(rng.standard_normal((2, 3, 3, 3)))
+    with pytest.raises(ValueError):
+        upsample_conv3d(x, leaf(rng.standard_normal((3, 2, 1, 1, 1))),
+                        leaf(np.zeros(3)))
+    with pytest.raises(ValueError):
+        upsample_conv3d(x, leaf(rng.standard_normal((3, 1, 3, 3, 3))),
+                        leaf(np.zeros(3)))

@@ -109,6 +109,31 @@ def test_backbone_grows_with_resolution():
     assert costs[0] > 0
 
 
+def test_desk_backbone_pinned_at_32():
+    # desk widths (4, 8, 16, 32, 64, 128) from 4 inputs; stage grids
+    # 32^3, 16^3, 8^3, 4^3, 2^3, 2^3 hold 32768, 4096, 512, 64, 8, 8 voxels
+    encoder = (56_623_104      # 4->4, 4->4 at 32768: 2 * 2*27*16*32768
+               + 21_233_664    # 4->8 + 8->8 at 4096: 2*27*(32 + 64)*4096
+               + 10_616_832    # 8->16 + 16->16 at 512: 2*27*(128 + 256)*512
+               + 5_308_416     # 16->32 + 32->32 at 64: 2*27*(512 + 1024)*64
+               + 2_654_208     # 32->64 + 64->64 at 8: 2*27*(2048 + 4096)*8
+               + 10_616_832)   # 64->128 + 128->128 at 8: 2*27*(8192 + 16384)*8
+    # the proj of levels 1-3 runs folded (8 taps per output voxel); level
+    # 4's 2^3 low-res grid keeps 27, and level 5 does not upsample
+    proj = (16_777_216         # 8->4 at 32768: 2*8*32*32768
+            + 8_388_608        # 16->8 at 4096: 2*8*128*4096
+            + 4_194_304        # 32->16 at 512: 2*8*512*512
+            + 7_077_888        # 64->32 at 64: 2*27*2048*64
+            + 3_538_944)       # 128->64 at 8: 2*27*8192*8
+    fuse = (56_623_104 + 28_311_552 + 14_155_776 + 7_077_888
+            + 3_538_944)       # 2lo->lo: 2*27*2*lo^2 * voxels, levels 1-5
+    refine = (28_311_552 + 14_155_776 + 7_077_888 + 3_538_944
+              + 1_769_472)     # lo->lo: 2*27*lo^2 * voxels, levels 1-5
+    head = 1_048_576           # 1x1x1, 4->4 at 32768: 2*16*32768
+    assert encoder + proj + fuse + refine + head == 312_639_488
+    assert conv_backbone_flops(desk_config(), (32, 32, 32)) == 312_639_488
+
+
 def test_desk_config_also_dominated_by_reference():
     cfg = desk_config()
     d = flops_estimate(cfg, (32, 32, 32), "dual_resolution")

@@ -222,6 +222,19 @@ def test_conv_block_records_two_ops():
     assert recorded_ops(lambda: m.enc[0][0](x)) == ["conv3d", "instance_norm"]
 
 
+def test_upsampling_proj_records_the_fused_conv():
+    m = Model(tiny_config(), seed=0)
+    x = Tensor(np.random.default_rng(9).standard_normal((3, 16, 16, 16)))
+    proj = m.dec[0]["proj"]
+    ops = recorded_ops(lambda: proj.upsampled(x))
+    assert ops == ["upsample_conv3d", "instance_norm"]
+    # every upsampling level of a 32^3 forward folds at these widths
+    ops = recorded_ops(lambda: m.forward(
+        np.random.default_rng(10).standard_normal((4, 32, 32, 32))))
+    assert ops.count("upsample_conv3d") == 4
+    assert "upsample3d" not in ops
+
+
 def test_scan_block_norm_is_one_op():
     p = init_ssm_params(np.random.default_rng(3), 3, 2)
     feat = Tensor(np.random.default_rng(4).standard_normal((3, 2, 2, 2)),
