@@ -55,13 +55,11 @@ def suite(seed: int = 0) -> list:
 
     a = _t(rng, 3, 4)
     b = _t(rng, 3, 4)
-    c = _t(rng, 4, lo=0.5, hi=2.0)
     add("add", _scalarize(T.add), [a, b])
     add("add_broadcast", _scalarize(T.add), [_t(rng, 3, 4), _t(rng, 4)])
     add("sub", _scalarize(T.sub), [_t(rng, 3, 4), _t(rng, 3, 4)])
     add("mul", _scalarize(T.mul), [a, b])
     add("mul_broadcast", _scalarize(T.mul), [_t(rng, 2, 3, 4), _t(rng, 3, 1)])
-    add("div", _scalarize(T.div), [_t(rng, 3, 4), c])
     add("neg", _scalarize(T.neg), [_t(rng, 5)])
     add("exp", _scalarize(T.texp), [_t(rng, 3, 3)])
     add("sigmoid", _scalarize(T.sigmoid), [_t(rng, 4, 4, lo=-3, hi=3)])
@@ -69,17 +67,12 @@ def suite(seed: int = 0) -> list:
     add("softplus", _scalarize(T.softplus), [_t(rng, 4, 4, lo=-3, hi=3)])
     add("matmul", _scalarize(T.matmul), [_t(rng, 3, 4), _t(rng, 4, 2)])
     add("sum_axis", _scalarize(lambda x: T.tsum(x, axis=1)), [_t(rng, 3, 5)])
-    add("mean", _scalarize(T.tmean), [_t(rng, 2, 3, 4)])
     add("reshape", _scalarize(lambda x: T.reshape(x, (6, 2))), [_t(rng, 3, 4)])
     add("transpose", _scalarize(lambda x: T.transpose(x, (2, 0, 1))),
         [_t(rng, 2, 3, 4)])
     add("flip", _scalarize(lambda x: T.flip(x, 1)), [_t(rng, 3, 4)])
-    add("narrow", _scalarize(lambda x: T.narrow(x, 1, 3, axis=1)),
-        [_t(rng, 2, 4, 3)])
     add("concat", _scalarize(lambda x, y: T.concat([x, y], axis=1)),
         [_t(rng, 2, 3), _t(rng, 2, 2)])
-    add("log_softmax", _scalarize(lambda x: T.log_softmax(x, axis=0)),
-        [_t(rng, 4, 5)])
     add("layer_norm", _scalarize(lambda x: T.layer_norm(x, axis=-1)),
         [_t(rng, 3, 6)])
 
@@ -138,6 +131,9 @@ def suite(seed: int = 0) -> list:
 
     cb = make_codebook(make_rng(seed, 0xC2), k=4, d=3, dtype=np.float64)
     add("vq_commit", lambda y: quantize(y, cb).commit_loss, [_t(rng, 5, 3)])
+    labels = np.arange(12).reshape(2, 3, 2) % 4
+    add("ce_dice_loss", lambda z, cm: ce_dice_loss(z, labels, cm).total,
+        [_t(rng, 4, 2, 3, 2, lo=-2.0, hi=2.0), _t(rng)])
     checks.append(("vq_ste_identity", lambda: _ste_identity(seed)))
     checks.append(("composed_forward", lambda: _composed_check(seed)))
     return checks

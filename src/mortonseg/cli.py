@@ -33,7 +33,7 @@ from .metrics import CSV_HEADER, evaluate_case, report_rows
 from .network import (Model, NetConfig, desk_config, full_config,
                       sliding_window_infer)
 from .phantom import (compute_region_volumes, generate_phantom, load_dataset,
-                      normalize_modalities, save_case)
+                      normalize_modalities, read_meta, save_case)
 from .rng import make_rng
 from .tensor import NumericalError
 from .train import load_training_state, train, training_state
@@ -108,7 +108,10 @@ def _net_config(preset: str | None, checkpoint: str | None = None) -> NetConfig:
     if preset is None and checkpoint is not None:
         sidecar = Path(checkpoint).parent / "net_config.json"
         if sidecar.exists():
-            return NetConfig.from_dict(json.loads(sidecar.read_text()))
+            try:
+                return NetConfig.from_dict(json.loads(sidecar.read_text()))
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{sidecar}: {e}") from None
         preset = "desk"
     if preset == "full":
         return full_config()
@@ -190,13 +193,10 @@ def cmd_phantoms(args) -> int:
 def _scan_case_fivs(data_dir) -> list:
     """(case_id, fiv) pairs from the meta files; volumes stay on disk."""
     root = Path(data_dir)
-    pairs = []
-    for meta_path in sorted(root.glob("*/meta.json")):
-        meta = json.loads(meta_path.read_text())
-        pairs.append((meta["case_id"], float(meta["stats"]["fiv"])))
-    if not pairs:
+    metas = [read_meta(p.parent) for p in sorted(root.glob("*/meta.json"))]
+    if not metas:
         raise FileNotFoundError(f"no cases under {root}")
-    return pairs
+    return [(case_id, stats.fiv) for case_id, stats in metas]
 
 
 def cmd_folds(args) -> int:

@@ -22,7 +22,7 @@ All learnable arrays live in named Tensors; `state_dict` collects them
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -83,11 +83,19 @@ class NetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
+        """The config to_dict wrote: every field, and no unknown key."""
+        if not isinstance(d, dict):
+            raise ValueError("net config must be a JSON object")
         d = dict(d)
         for key, fixed in RETIRED_CONFIG_KEYS.items():
             if key in d and d.pop(key) != fixed:
                 raise ValueError(f"net config '{key}' must be {fixed!r}: "
                                  "the network has no other setting")
+        names = {f.name for f in fields(cls)}
+        wrong = ([f"no field '{k}'" for k in sorted(names - d.keys())]
+                 + [f"unknown field '{k}'" for k in sorted(d.keys() - names)])
+        if wrong:
+            raise ValueError("net config has " + ", ".join(wrong))
         d["channels"] = tuple(d["channels"])
         return cls(**d)
 
@@ -359,33 +367,51 @@ def ce_dice_loss(logits: Tensor, labels: np.ndarray,
                  commit: Tensor | None = None) -> LossReport:
     """Voxel cross-entropy plus soft-Dice over the foreground classes.
 
-    dice_loss = 1 - mean_c (2*sum(P_c G_c) + eps)
-                         / (sum(P_c^2) + sum(G_c^2) + eps)
+    dice_loss = 1 - mean_c D_c,  D_c = (2*sum(P_c G_c) + eps) / S_c,
+    S_c = sum(P_c^2) + sum(G_c^2) + eps
     over c in {1, 2, 3}; total = ce + dice_loss + 0.25 * commit, the
     weight being vq.DEFAULT_COMMIT_WEIGHT.
     The squared-denominator form keeps the score a measure of voxel
     agreement rather than of softmax sharpness: a prediction with the
     right argmax everywhere scores ~1 even at moderate confidence.
+
+    total is one op with parents (logits, commit); ce and dice_loss are
+    leaves. With V voxels and C foreground classes the backward is
+    g_P_c = 2 (P_c D_c - G_c) / (C S_c) on the foreground (0 on the
+    background), g_logits = g (P (g_P - sum_k P_k g_P_k) + (P - G) / V)
+    and g_commit = 0.25 g; the tape keeps P, G and the per-class D, S.
     """
-    k = logits.shape[0]
-    oh = one_hot(labels, k, logits.data.dtype)
-    logp = T.log_softmax(logits, axis=0)
-    ce = T.neg(T.tmean(T.tsum(T.mul(logp, Tensor(oh, dtype=oh.dtype)), axis=0)))
+    z = logits.data
+    dt = z.dtype.type
+    commit = Tensor(np.zeros(()), dtype=z.dtype) if commit is None else commit
+    if commit.dtype != z.dtype:
+        raise TypeError(f"commit is {commit.dtype}, the logits {z.dtype}")
+    oh = one_hot(labels, z.shape[0], z.dtype)
+    shifted = z - z.max(axis=0, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=0, keepdims=True))
+    ce = -(logp * oh).sum(axis=0).mean()
 
-    p = T.texp(logp)
+    p = np.exp(logp)
     fg = slice(FOREGROUND_CLASSES[0], FOREGROUND_CLASSES[-1] + 1)  # contiguous
-    p_fg = T.narrow(p, fg.start, fg.stop, axis=0)
-    g_fg = Tensor(oh[fg], dtype=oh.dtype)
-    inter = T.tsum(T.mul(p_fg, g_fg), axis=(1, 2, 3))
-    sizes = T.add(T.tsum(T.mul(p_fg, p_fg), axis=(1, 2, 3)),
-                  Tensor((oh[fg] ** 2).sum(axis=(1, 2, 3)), dtype=oh.dtype))
-    dice = T.div(T.add(T.mul(inter, 2.0), DICE_EPS), T.add(sizes, DICE_EPS))
-    dice_loss = T.sub(1.0, T.tmean(dice))
+    p_fg, g_fg = p[fg], oh[fg]
+    axes, eps = (1, 2, 3), dt(DICE_EPS)
+    den = (p_fg * p_fg).sum(axis=axes) + (g_fg ** 2).sum(axis=axes) + eps
+    dice = ((p_fg * g_fg).sum(axis=axes) * dt(2.0) + eps) / den
+    dice_loss = dt(1.0) - dice.mean()
 
-    if commit is None:
-        commit = Tensor(np.zeros(()), dtype=logits.data.dtype)
-    total = T.add(T.add(ce, dice_loss), T.mul(commit, DEFAULT_COMMIT_WEIGHT))
-    return LossReport(ce=ce, dice_loss=dice_loss, commit=commit, total=total)
+    def bwd(g):
+        gp = np.zeros_like(p)
+        gp[fg] = (p_fg * dice[:, None, None, None] - g_fg) * (
+            2.0 / (dice.size * den))[:, None, None, None]
+        gz = (gp - (p * gp).sum(axis=0, keepdims=True)) * p
+        gz += (p - oh) / p[0].size
+        return gz * g, g * dt(DEFAULT_COMMIT_WEIGHT)
+
+    total = ce + dice_loss + commit.data * dt(DEFAULT_COMMIT_WEIGHT)
+    return LossReport(Tensor(ce, dtype=z.dtype),
+                      Tensor(dice_loss, dtype=z.dtype), commit,
+                      Tensor._make(total, (logits, commit), bwd,
+                                   "ce_dice_loss"))
 
 
 def soft_dice(logits_data: np.ndarray, labels: np.ndarray) -> float:

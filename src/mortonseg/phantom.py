@@ -228,19 +228,30 @@ def save_case(root, case: CaseRecord) -> Path:
     return d
 
 
+def read_meta(case_dir) -> tuple[str, CaseStats]:
+    """(case_id, stats) from a case's meta.json; errors name the file."""
+    path = Path(case_dir) / "meta.json"
+    try:
+        meta = json.loads(path.read_text())
+        s = meta["stats"]
+        return meta["case_id"], CaseStats(
+            fiv=float(s["fiv"]), ed_volume=int(s["ed_volume"]),
+            ncr_volume=int(s["ncr_volume"]), et_volume=int(s["et_volume"]))
+    except KeyError as e:
+        raise ValueError(f"{path}: no field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def load_case(path) -> CaseRecord:
     d = Path(path)
-    meta = json.loads((d / "meta.json").read_text())
+    case_id, stats = read_meta(d)
     mods = []
     for name in MODALITY_NAMES:
         vol, _ = read_volume(d / f"{name}.vol")
         mods.append(vol)
     labels, _ = read_volume(d / "labels.vol")
-    s = meta["stats"]
-    stats = CaseStats(fiv=float(s["fiv"]), ed_volume=int(s["ed_volume"]),
-                      ncr_volume=int(s["ncr_volume"]),
-                      et_volume=int(s["et_volume"]))
-    return CaseRecord(case_id=meta["case_id"],
+    return CaseRecord(case_id=case_id,
                       modalities=np.stack(mods).astype(np.float32),
                       labels=labels.astype(np.uint8), stats=stats)
 

@@ -15,8 +15,8 @@ graph; each call re-runs the recorded closures, which are deterministic,
 so repeated passes (after zeroing grads) are bit-identical. Gradients
 accumulate, callers zero them between optimization steps.
 
-The norms, ``layer_norm`` and ``log_softmax``, are one op each with a
-closed-form adjoint.
+``layer_norm`` is one op with a closed-form adjoint, as are the
+network's instance norm and loss and the quantizer's commitment.
 
 Every op is built by ``Tensor._make``, and ``op_hook`` is its one
 extension point: a hook sees each op as it is built and may wrap the
@@ -282,16 +282,6 @@ def mul(a, b) -> Tensor:
         lambda g: (_unbroadcast(g * bd, sa), _unbroadcast(g * ad, sb)), "mul")
 
 
-def div(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    sa, sb = a.shape, b.shape
-    ad, bd = a.data, b.data
-    return Tensor._make(
-        ad / bd, (a, b),
-        lambda g: (_unbroadcast(g / bd, sa),
-                   _unbroadcast(-g * ad / (bd * bd), sb)), "div")
-
-
 def neg(a: Tensor) -> Tensor:
     return Tensor._make(-a.data, (a,), lambda g: (-g,), "neg")
 
@@ -358,14 +348,6 @@ def tsum(a: Tensor, axis=None) -> Tensor:
     return Tensor._make(a.data.sum(axis=axis), (a,), bwd, "sum")
 
 
-def tmean(a: Tensor) -> Tensor:
-    """Mean over all elements, a 0-d tensor."""
-    shape, count = a.shape, a.size
-    return Tensor._make(
-        a.data.mean(), (a,),
-        lambda g: (np.broadcast_to(g / count, shape).copy(),), "mean")
-
-
 # -- shape ops --------------------------------------------------------------
 
 
@@ -392,19 +374,6 @@ def flip(a: Tensor, axis: int = 0) -> Tensor:
         lambda g: (np.flip(g, axis=axis).copy(),), "flip")
 
 
-def narrow(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
-    """The basic slice start:stop along an axis; backward pads g with zeros."""
-    idx = (slice(None),) * (axis % a.ndim) + (slice(start, stop),)
-    shape = a.shape
-
-    def bwd(g):
-        ga = np.zeros(shape, dtype=g.dtype)
-        ga[idx] = g
-        return (ga,)
-
-    return Tensor._make(a.data[idx], (a,), bwd, "narrow")
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     axis = axis % tensors[0].ndim
@@ -420,15 +389,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 # -- normalizations ---------------------------------------------------------
-
-
-def log_softmax(a: Tensor, axis: int = 0) -> Tensor:
-    """Log-softmax along `axis`; its backward is gx = g - exp(y) * sum(g)."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    return Tensor._make(
-        y, (a,), lambda g: (g - np.exp(y) * g.sum(axis=axis, keepdims=True),),
-        "log_softmax")
 
 
 def standardize(x: np.ndarray, axis) -> tuple:

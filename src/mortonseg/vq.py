@@ -96,8 +96,9 @@ def quantize(y: Tensor, cb: Codebook) -> QuantizeResult:
     """Snap each row of y to its nearest codebook entry.
 
     The returned tensor carries the quantized values forward and passes
-    gradients through unchanged (straight-through); commit_loss is the
-    mean squared distance to the (detached) chosen entries.
+    gradients through unchanged (straight-through); commit_loss, the mean
+    squared distance mean_m ||y_m - q_m||^2 to the (detached) chosen
+    entries q, is one op whose backward is g_y = 2 g (y - q) / M.
     """
     if cb.k < 1:
         raise ValueError("empty codebook")
@@ -107,9 +108,11 @@ def quantize(y: Tensor, cb: Codebook) -> QuantizeResult:
     q = cb.embeddings[idx].astype(y.data.dtype)
 
     # identity Jacobian: the quantizer is invisible to the backward pass
-    q_ste = Tensor._make(q.copy(), (y,), lambda g: (g,), "vq_ste")
-    diff = T.sub(y, Tensor(q, dtype=y.data.dtype))
-    commit = T.tmean(T.tsum(T.mul(diff, diff), axis=1))
+    q_ste = Tensor._make(q, (y,), lambda g: (g,), "vq_ste")
+    diff = y.data - q
+    commit = Tensor._make((diff * diff).sum(axis=1).mean(), (y,),
+                          lambda g: (diff * (2.0 * g / len(diff)),),
+                          "vq_commit")
     return QuantizeResult(quantized=q_ste, indices=idx, commit_loss=commit)
 
 

