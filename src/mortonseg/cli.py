@@ -260,6 +260,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.fold is not None and not args.folds:
+        raise ValueError("--fold needs --folds, the assignment it indexes")
     out = _out_dir(args)
     cases = load_dataset(args.data)
     if args.folds:
@@ -492,18 +494,21 @@ def _apply_config_file(parser, subs, argv, args):
     Explicit command-line flags override the file because defaults lose
     to anything actually present in argv.
     """
-    loaded = json.loads(Path(args.config).read_text())
-    if not isinstance(loaded, dict):
-        raise ValueError("--config must contain a JSON object")
-    command = loaded.pop("command", args.command)
-    if command != args.command:
-        raise ValueError(f"config file is for '{command}', "
-                         f"not '{args.command}'")
-    valid = {a.dest for a in subs[args.command]._actions} - {"help"}
-    unknown = set(loaded) - valid
-    if unknown:
-        raise ValueError(f"unknown config keys for '{args.command}': "
-                         f"{sorted(unknown)}")
+    try:
+        loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError("not a JSON object")
+        command = loaded.pop("command", args.command)
+        if command != args.command:
+            raise ValueError(f"config file is for '{command}', "
+                             f"not '{args.command}'")
+        valid = {a.dest for a in subs[args.command]._actions} - {"help"}
+        unknown = set(loaded) - valid
+        if unknown:
+            raise ValueError(f"unknown config keys for '{args.command}': "
+                             f"{sorted(unknown)}")
+    except ValueError as e:
+        raise ValueError(f"{args.config}: {e}") from None
     subs[args.command].set_defaults(**loaded)
     return parser.parse_args(argv)
 

@@ -24,9 +24,13 @@ entering each chunk, and backward recomputes a chunk's states from it
 (recompute-for-memory, as in Mamba's hardware-aware scan). Inside a
 chunk the states come from a token loop rather than from a cumulative
 sum of log-decays: one step's delta * |A| can exceed 10, so the exp of
-a running sum leaves float32 range within a few tokens. The algebra
-around the op (projections, gating) is composed from primitive ops, so
-finite-difference checks cover the whole block.
+a running sum leaves float32 range within a few tokens.
+
+``selective_scan`` wraps it in one tape op per direction, as Mamba's
+fused kernel does: the projections, softplus, A and the D skip are numpy
+steps around the recurrence, which stays an op of its own that hooks
+see, and backward runs its recorded adjoint before theirs.
+``gated_fusion`` is one op too.
 """
 
 from __future__ import annotations
@@ -186,24 +190,48 @@ def selective_scan(seq: Tensor, p: ScanParams, direction: str = "forward") -> Te
         return T.flip(selective_scan(T.flip(seq, 0), p, "forward"), 0)
     if direction != "forward":
         raise ValueError("direction must be 'forward' or 'reverse'")
-    ln, e = seq.shape
-    n = p.a_log.shape[1]
-    delta = T.softplus(T.add(T.matmul(seq, p.w_delta), p.b_delta))  # (L,E)
-    b = T.matmul(seq, p.w_b)  # (L,N)
-    c = T.matmul(seq, p.w_c)  # (L,N)
-    a = T.neg(T.texp(p.a_log))  # (E,N)
-    y = linear_recurrence(
-        T.reshape(delta, (ln, e, 1)), T.reshape(a, (1, e, n)),
-        T.reshape(b, (ln, 1, n)), T.reshape(seq, (ln, e, 1)), c)
-    return T.add(y, T.mul(seq, p.d_skip))
+    params = p.tensors()
+    if any(t.dtype != seq.dtype for t in params):
+        raise TypeError(f"scan parameters are not all {seq.dtype} like the "
+                        "sequence; convert explicitly")
+    (ln, e), n = seq.shape, p.a_log.shape[1]
+    x, d = seq.data, p.d_skip.data
+    wd, wb, wc = p.w_delta.data, p.w_b.data, p.w_c.data
+    u = x @ wd + p.b_delta.data
+    sig = T._sigmoid(u)  # softplus'(u)
+    a = -np.exp(p.a_log.data)
+    leaf = lambda v, *shape: Tensor(v.reshape(shape), requires_grad=True,
+                                    dtype=v.dtype)
+    rec = linear_recurrence(
+        leaf(np.logaddexp(0.0, u), ln, e, 1), leaf(a, 1, e, n),
+        leaf(x @ wb, ln, 1, n), leaf(x, ln, e, 1), leaf(x @ wc, ln, n))
+    rec_bwd = rec._backward_fn  # not rec: its (L, E) output need not live on
+
+    def bwd(g):
+        gd, ga, gb, gs, gc = rec_bwd(g)
+        gu, gb = gd[:, :, 0] * sig, gb[:, 0]
+        gx = gu @ wd.T + gb @ wb.T + gc @ wc.T + gs[:, :, 0] + g * d
+        return (gx, ga[0] * a, x.T @ gb, x.T @ gc, x.T @ gu, gu.sum(axis=0),
+                (g * x).sum(axis=0))
+
+    return Tensor._make(rec.data + x * d, (seq, *params), bwd,
+                        "selective_scan")
 
 
 def gated_fusion(y_fwd: Tensor, y_rev: Tensor, theta: Tensor) -> Tensor:
     """Per-channel convex blend: sigmoid(theta)*fwd + (1-sigmoid)*rev."""
-    if y_fwd.shape != y_rev.shape:
-        raise ValueError("stream shapes differ")
-    alpha = T.sigmoid(theta)
-    return T.add(T.mul(alpha, y_fwd), T.mul(T.sub(1.0, alpha), y_rev))
+    if y_fwd.shape != y_rev.shape or theta.shape != y_fwd.shape[1:]:
+        raise ValueError("streams must be (L, E) alike and theta (E,)")
+    if not y_fwd.dtype == y_rev.dtype == theta.dtype:
+        raise TypeError(f"streams {y_fwd.dtype}/{y_rev.dtype} and theta "
+                        f"{theta.dtype}; convert explicitly")
+    alpha = T._sigmoid(theta.data)
+    beta = 1.0 - alpha
+    yf, yr = y_fwd.data, y_rev.data
+    return Tensor._make(
+        alpha * yf + beta * yr, (y_fwd, y_rev, theta),
+        lambda g: (g * alpha, g * beta,
+                   (g * (yf - yr)).sum(axis=0) * alpha * beta), "gated_fusion")
 
 
 def bidir_scan_block(feat3d: Tensor, p: SsmParams, perm: MortonPermutation) -> Tensor:

@@ -16,7 +16,9 @@ so repeated passes (after zeroing grads) are bit-identical. Gradients
 accumulate, callers zero them between optimization steps.
 
 ``layer_norm`` is one op with a closed-form adjoint, as are the
-network's instance norm and loss and the quantizer's commitment.
+network's instance norm and loss, the quantizer's commitment, a scan
+direction and the gated fusion. ``_sigmoid`` and ``standardize`` are the
+numpy-level steps those ops share.
 
 Every op is built by ``Tensor._make``, and ``op_hook`` is its one
 extension point: a hook sees each op as it is built and may wrap the
@@ -265,14 +267,6 @@ def add(a, b) -> Tensor:
         lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)), "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    sa, sb = a.shape, b.shape
-    return Tensor._make(
-        a.data - b.data, (a, b),
-        lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)), "sub")
-
-
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     sa, sb = a.shape, b.shape
@@ -282,16 +276,7 @@ def mul(a, b) -> Tensor:
         lambda g: (_unbroadcast(g * bd, sa), _unbroadcast(g * ad, sb)), "mul")
 
 
-def neg(a: Tensor) -> Tensor:
-    return Tensor._make(-a.data, (a,), lambda g: (-g,), "neg")
-
-
 # -- elementwise unary ops -------------------------------------------------
-
-
-def texp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-    return Tensor._make(e, (a,), lambda g: (g * e,), "exp")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -304,11 +289,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-    return Tensor._make(s, (a,), lambda g: (g * s * (1.0 - s),), "sigmoid")
-
-
 def silu(a: Tensor) -> Tensor:
     s = _sigmoid(a.data)
     ad = a.data
@@ -316,26 +296,7 @@ def silu(a: Tensor) -> Tensor:
         ad * s, (a,), lambda g: (g * (s * (1.0 + ad * (1.0 - s))),), "silu")
 
 
-def softplus(a: Tensor) -> Tensor:
-    ad = a.data
-    out = np.logaddexp(0.0, ad)
-    s = _sigmoid(ad)
-    return Tensor._make(out, (a,), lambda g: (g * s,), "softplus")
-
-
-# -- matmul and reductions ------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-    return Tensor._make(
-        ad @ bd, (a, b),
-        lambda g: (g @ bd.T, ad.T @ g), "matmul")
+# -- reductions -------------------------------------------------------------
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:

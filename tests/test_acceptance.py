@@ -190,7 +190,7 @@ def test_06_vq_assignment_ste_and_ema_recovery():
     cb = make_codebook(make_rng(6, 1), k=5, d=4, dtype=np.float64)
 
     def downstream(t):
-        return T.tsum(T.mul(T.texp(T.mul(t, 0.1)), t))
+        return T.tsum(T.mul(T.silu(T.mul(t, 0.1)), t))
 
     ste = straight_through_check(rng.normal(0.0, 1.0, size=(12, 4)),
                                  downstream, cb)

@@ -207,6 +207,16 @@ def test_eval_fold_filter(work, dataset, trained):
                  "--out", str(work / "scores_bad")]) == 1
 
 
+def test_eval_fold_without_folds_is_an_error(work, dataset, trained, capsys):
+    # a fold number alone selects nothing, so it must not score every case
+    d = work / "scores_fold_only"
+    assert main(["eval", "--checkpoint", str(trained / "checkpoint.mseg"),
+                 "--data", str(dataset), "--fold", "3",
+                 "--out", str(d)]) == 1
+    assert "--folds" in capsys.readouterr().err
+    assert not (d / "metrics.csv").exists()
+
+
 def test_eval_rejects_malformed_folds_file(work, dataset, trained, capsys):
     folds = work / "bad_folds.json"
     folds.write_text(json.dumps({"version": "1", "seed": 0,
@@ -456,18 +466,21 @@ def test_gradcheck_recurrence_checks_one_and_many_chunks(work):
 
 
 def test_gradcheck_sabotage_detected(capsys):
-    # flipping one backward sign must trip the checker: exit code 2
-    rc = main(["gradcheck", "--op", "mul", "--sabotage", "mul"])
+    # flipping one backward sign must trip the checker: exit code 2. The
+    # recurrence runs inside the scan op, whose backward calls its adjoint
+    rc = main(["gradcheck", "--op", "selective_scan",
+               "--sabotage", "linear_recurrence"])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
 
 
 def test_gradcheck_sabotage_of_unknown_op_is_an_error(capsys):
     # a misspelt op flips nothing, so a clean pass would prove nothing
-    rc = main(["gradcheck", "--op", "mul", "--sabotage", "mull"])
+    rc = main(["gradcheck", "--op", "selective_scan",
+               "--sabotage", "linear_recurence"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "'mull'" in err
+    assert "error:" in err and "'linear_recurence'" in err
 
 
 # ---------------------------------------------------------------- plumbing
@@ -502,6 +515,19 @@ def test_config_file_merging(work):
 
     assert main(["phantoms", "--config", str(work / "missing.json"),
                  "--out", str(work / "c5")]) == 3
+
+
+def test_config_errors_name_the_file(work, capsys):
+    for name, text in [("truncated.json", '{"n": 3, '),
+                       ("list.json", "[1, 2]"),
+                       ("unknown.json", json.dumps({"nn": 1})),
+                       ("other.json", json.dumps({"command": "bench"}))]:
+        cfg = work / name
+        cfg.write_text(text)
+        assert main(["phantoms", "--config", str(cfg),
+                     "--out", str(work / "c_named")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: "), err
 
 
 def test_run_config_echoed(work, dataset):

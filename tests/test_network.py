@@ -289,8 +289,7 @@ def test_every_recorded_op_has_a_gradient_check():
 def test_every_gradient_check_covers_a_recorded_op():
     # the reverse: a primitive whose last caller has gone keeps its entry
     # only here, so its check would outlive the code it guards
-    composite = {"selective_scan", "gated_fusion", "vq_ste_identity",
-                 "composed_forward"}
+    composite = {"vq_ste_identity", "composed_forward"}
     ops = recorded_step_ops()
     stale = sorted(name for name, _ in suite() if name not in composite
                    and not any(name.startswith(op) for op in ops))

@@ -145,12 +145,10 @@ def test_recurrence_tape_holds_no_full_state():
     p = f64_params(rng, e, n).scan
     seq = Tensor(rng.normal(0, 1, (ln, e)), requires_grad=True,
                  dtype=np.float64)
-    node, todo = None, [selective_scan(seq, p, "forward")]
-    while node is None:
-        t = todo.pop()
-        node = t if t.op == "linear_recurrence" else None
-        todo.extend(t._parents)
+    node = selective_scan(seq, p, "forward")
     held = held_arrays(node._backward_fn) + [q.data for q in node._parents]
+    # the recurrence's adjoint is reached: its per-chunk entry states
+    assert any(a.shape == (3, n, e) for a in held)
     assert max(a.size for a in held) < ln * e * n
 
 
@@ -261,6 +259,95 @@ def test_scan_gradients_match_fd():
     res = check_gradients(fn, p.tensors() + [seq], name="selective_scan")
     assert res.passed, str(res)
     assert res.max_rel_error < 1e-4
+
+
+def chained_scan(x, p, g):
+    """The scan as the composed chain ran it, with that chain's adjoints.
+
+    Forward: the numpy expressions of matmul, add, softplus, neg(exp),
+    the recurrence and the D skip, in the chain's order. Backward: each
+    op's adjoint in reverse; the recurrence's comes from the op itself.
+    Returns (y, gradients of seq and of p.tensors() for the seed g).
+    """
+    ln, e = x.shape
+    n = p.a_log.shape[1]
+    wd, wb, wc = p.w_delta.data, p.w_b.data, p.w_c.data
+    u = x @ wd + p.b_delta.data
+    expa = np.exp(p.a_log.data)
+    leaves = [Tensor(v, requires_grad=True, dtype=x.dtype) for v in (
+        np.logaddexp(0.0, u).reshape(ln, e, 1), (-expa).reshape(1, e, n),
+        (x @ wb).reshape(ln, 1, n), x.reshape(ln, e, 1), x @ wc)]
+    rec = linear_recurrence(*leaves)
+    y = rec.data + x * p.d_skip.data
+    rec.backward(g)
+    gd, ga, gb, gs, gc = (t.grad for t in leaves)
+    gu = gd.reshape(ln, e) * T._sigmoid(u)
+    gx = (g * p.d_skip.data + gs.reshape(ln, e) + gu @ wd.T
+          + gb.reshape(ln, n) @ wb.T + gc @ wc.T)
+    return y, [gx, -ga.reshape(e, n) * expa, x.T @ gb.reshape(ln, n),
+               x.T @ gc, x.T @ gu, gu.sum(axis=0), (g * x).sum(axis=0)]
+
+
+def chained_fusion(yf, yr, theta, g):
+    """gated_fusion as sigmoid, mul, sub, mul, add, with their adjoints."""
+    s = T._sigmoid(theta)
+    beta = np.asarray(1.0, dtype=theta.dtype) - s
+    ga = (g * yf).sum(axis=0) + (-(g * yr).sum(axis=0))
+    return s * yf + beta * yr, [g * s, g * beta, ga * s * (1.0 - s)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scan_and_fusion_match_the_chains(dtype):
+    # forwards bit for bit in both dtypes; f64 gradients within 1e-12
+    rng = make_rng(55)
+    with T.default_dtype(dtype):
+        p = init_ssm_params(rng, 4, 3)
+        ln = SCAN_CHUNK + 6
+        seq = Tensor(rng.normal(0, 1, (ln, 4)), requires_grad=True)
+        theta = Tensor(rng.normal(0, 2, 4), requires_grad=True)
+    g = rng.normal(0, 1, (ln, 4)).astype(dtype)
+
+    def close(got, want):
+        scale = max(np.abs(want).max(), 1e-300)
+        assert np.abs(got - want).max() / scale < 1e-12
+
+    y = selective_scan(seq, p.scan, "forward")
+    want, grads = chained_scan(seq.data, p.scan, g)
+    assert y.dtype == dtype
+    np.testing.assert_array_equal(y.data, want)
+    y.backward(g)
+    if dtype == np.float64:
+        for t, gw in zip([seq] + p.scan.tensors(), grads):
+            close(t.grad, gw)
+
+    yf = Tensor(rng.normal(0, 1, (ln, 4)), requires_grad=True, dtype=dtype)
+    yr = Tensor(rng.normal(0, 1, (ln, 4)), requires_grad=True, dtype=dtype)
+    fused = gated_fusion(yf, yr, theta)
+    want, grads = chained_fusion(yf.data, yr.data, theta.data, g)
+    assert fused.dtype == dtype
+    np.testing.assert_array_equal(fused.data, want)
+    fused.backward(g)
+    if dtype == np.float64:
+        for t, gw in zip([yf, yr, theta], grads):
+            close(t.grad, gw)
+
+
+def test_scan_and_fusion_refuse_mixed_dtypes():
+    # the op never promotes silently; the caller converts explicitly
+    rng = make_rng(56)
+    p32 = init_ssm_params(rng, 3, 2, dtype=np.float32).scan
+    with pytest.raises(TypeError):
+        selective_scan(rand_seq(rng, 5, 3), p32)  # f64 sequence
+    p32.d_skip = Tensor(p32.d_skip.data, dtype=np.float64)
+    with pytest.raises(TypeError):
+        selective_scan(Tensor(rng.normal(0, 1, (5, 3)), dtype=np.float32),
+                       p32)
+    y64 = rand_seq(rng, 5, 3)
+    with pytest.raises(TypeError):
+        gated_fusion(y64, y64, Tensor(np.zeros(3), dtype=np.float32))
+    y32 = Tensor(y64.data, dtype=np.float32)
+    with pytest.raises(TypeError):
+        gated_fusion(y32, y64, Tensor(np.zeros(3), dtype=np.float32))
 
 
 def test_linear_recurrence_shape_errors():

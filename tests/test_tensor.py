@@ -33,24 +33,18 @@ def scalarize(fn):
 
 
 UNARY_OPS = [
-    ("neg", T.neg, (-2.0, 2.0)),
-    ("exp", T.texp, (-2.0, 2.0)),
-    ("sigmoid", T.sigmoid, (-3.0, 3.0)),
     ("silu", T.silu, (-3.0, 3.0)),
-    ("softplus", T.softplus, (-3.0, 3.0)),
 ]
 
 BINARY_OPS = [
     ("add", T.add, (-2.0, 2.0)),
-    ("sub", T.sub, (-2.0, 2.0)),
     ("mul", T.mul, (-2.0, 2.0)),
 ]
 
 
 # pinned test ids, so each case keeps its name across revisions of the list
-UNARY_IDS = ["neg-neg-box0", "exp-texp-box1",
-             "sigmoid-sigmoid-box5", "silu-silu-box6",
-             "softplus-softplus-box7"]
+UNARY_IDS = ["silu-silu-box6"]
+BINARY_IDS = ["add-add-box0", "mul-mul-box2"]
 
 
 @pytest.mark.parametrize("name,op,box", UNARY_OPS, ids=UNARY_IDS)
@@ -64,7 +58,7 @@ def test_unary_op_gradients_on_random_shapes(name, op, box):
         assert res.max_rel_error < 1e-4
 
 
-@pytest.mark.parametrize("name,op,box", BINARY_OPS)
+@pytest.mark.parametrize("name,op,box", BINARY_OPS, ids=BINARY_IDS)
 def test_binary_op_gradients_on_random_shapes(name, op, box):
     for trial in range(5):
         rng = make_rng(18, trial)
@@ -77,12 +71,12 @@ def test_binary_op_gradients_on_random_shapes(name, op, box):
 
 @pytest.mark.parametrize("name,fn", [
     ("sum_all", lambda x: T.tsum(x)),
-    ("sum_axis0", lambda x: T.tsum(T.texp(T.tsum(x, axis=0)))),
+    ("sum_axis0", lambda x: T.tsum(T.silu(T.tsum(x, axis=0)))),
     ("layer_norm", lambda x: T.tsum(T.mul(T.layer_norm(x, axis=-1),
                                           T.Tensor(np.cos(np.arange(x.size))
                                                    .reshape(x.shape),
                                                    dtype=np.float64)))),
-    ("reshape", lambda x: T.tsum(T.texp(T.reshape(x, (-1,))))),
+    ("reshape", lambda x: T.tsum(T.silu(T.reshape(x, (-1,))))),
     ("transpose", lambda x: T.tsum(T.mul(T.transpose(x),
                                          T.transpose(x)))),
     ("flip", lambda x: T.tsum(T.mul(T.flip(x, axis=0), x))),
@@ -123,17 +117,6 @@ def test_layer_norm_backward_holds_only_its_output_at_full_size():
             if isinstance(c.cell_contents, np.ndarray)]
     full = [h for h in held if h.size >= x.size]
     assert len(full) == 1 and full[0] is y.data
-
-
-def test_matmul_gradient():
-    for trial in range(5):
-        rng = make_rng(20, trial)
-        m, k, n = (int(rng.integers(2, 5)) for _ in range(3))
-        a = leaf(rng, m, k)
-        b = leaf(rng, k, n)
-        res = check_gradients(scalarize(T.matmul), [a, b], name="matmul",
-                              seed=trial)
-        assert res.passed, str(res)
 
 
 def test_take_and_concat_gradients():
@@ -230,15 +213,15 @@ def test_scalar_tensor_stays_zero_dim():
 
 
 def test_nonfinite_output_raises_numerical_error():
-    x = T.Tensor([1000.0], requires_grad=True, dtype=np.float64)
+    x = T.Tensor([1e200], requires_grad=True, dtype=np.float64)
     with T.op_hook(T.check_finite):
-        with pytest.raises(T.NumericalError, match="'exp'"):
+        with pytest.raises(T.NumericalError, match="'mul'"):
             with np.errstate(over="ignore"):
-                T.texp(x)
+                T.mul(x, x)
         # untaped ops are checked too
-        with T.no_grad(), pytest.raises(T.NumericalError, match="'exp'"):
+        with T.no_grad(), pytest.raises(T.NumericalError, match="'mul'"):
             with np.errstate(over="ignore"):
-                T.texp(x)
+                T.mul(x, x)
 
 
 def test_op_hook_is_removed_when_its_block_exits():
@@ -250,13 +233,13 @@ def test_op_hook_is_removed_when_its_block_exits():
 
     x = T.Tensor([1.0], requires_grad=True, dtype=np.float64)
     with T.op_hook(hook):
-        T.neg(x)
+        T.silu(x)
     with pytest.raises(RuntimeError):
         with T.op_hook(hook):
-            T.texp(x)
+            T.mul(x, x)
             raise RuntimeError("leave the block")
-    T.sigmoid(x)
-    assert seen == ["neg", "exp"]
+    T.add(x, x)
+    assert seen == ["silu", "mul"]
 
 
 def test_named_tensors_walks_fields_items_and_attributes():
