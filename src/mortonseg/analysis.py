@@ -115,7 +115,7 @@ def write_rows_csv(path, header: list, rows) -> None:
     Floats print as %.6f and anything else as str(), so a caller that
     wants another float format passes a string.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row]
@@ -123,9 +123,12 @@ def write_rows_csv(path, header: list, rows) -> None:
 
 
 def read_rows_csv(path, header: list) -> list[dict]:
-    """Rows of a CSV file as dicts; every column of `header` must be there."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    """Rows of a UTF-8 CSV file as dicts; `header`'s columns must be there."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.DictReader(fh.readlines())
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text: {e}") from None
         missing = [c for c in header if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path}: no column {', '.join(missing)}")

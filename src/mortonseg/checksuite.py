@@ -35,15 +35,6 @@ def _t(rng, *shape, lo=-1.0, hi=1.0):
                   dtype=np.float64)
 
 
-def _scalarize(fn):
-    """Wrap a tensor-valued fn into sum(fn * probe), a scalar objective."""
-    def wrapped(*inputs):
-        out = fn(*inputs)
-        probe = np.cos(np.arange(out.size, dtype=np.float64)).reshape(out.shape)
-        return T.tsum(T.mul(out, Tensor(probe, dtype=np.float64)))
-    return wrapped
-
-
 def suite(seed: int = 0) -> list:
     """(name, zero-arg callable -> GradCheckResult) pairs, all ops."""
     rng = make_rng(seed, 0xC0)
@@ -53,57 +44,50 @@ def suite(seed: int = 0) -> list:
         checks.append((name, lambda: check_gradients(
             fn, inputs, name=name, **kw)))
 
-    add("add", _scalarize(T.add), [_t(rng, 3, 4), _t(rng, 3, 4)])
-    add("add_broadcast", _scalarize(T.add), [_t(rng, 3, 4), _t(rng, 4)])
-    add("silu", _scalarize(T.silu), [_t(rng, 4, 4, lo=-3, hi=3)])
-    add("sum_axis", _scalarize(lambda x: T.tsum(x, axis=1)), [_t(rng, 3, 5)])
-    add("reshape", _scalarize(lambda x: T.reshape(x, (6, 2))), [_t(rng, 3, 4)])
-    add("transpose", _scalarize(lambda x: T.transpose(x, (2, 0, 1))),
-        [_t(rng, 2, 3, 4)])
-    add("flip", _scalarize(lambda x: T.flip(x, 1)), [_t(rng, 3, 4)])
-    add("concat", _scalarize(lambda x, y: T.concat([x, y], axis=1)),
+    add("add", T.add, [_t(rng, 3, 4), _t(rng, 3, 4)])
+    add("silu", T.silu, [_t(rng, 4, 4, lo=-3, hi=3)])
+    add("reshape", lambda x: T.reshape(x, (6, 2)), [_t(rng, 3, 4)])
+    add("transpose", lambda x: T.transpose(x, (2, 0, 1)), [_t(rng, 2, 3, 4)])
+    add("flip", lambda x: T.flip(x, 1), [_t(rng, 3, 4)])
+    add("concat", lambda x, y: T.concat([x, y], axis=1),
         [_t(rng, 2, 3), _t(rng, 2, 2)])
-    add("layer_norm", _scalarize(lambda x: T.layer_norm(x, axis=-1)),
-        [_t(rng, 3, 6)])
+    add("layer_norm", lambda x: T.layer_norm(x, axis=-1), [_t(rng, 3, 6)])
 
-    add("conv3d_s1", _scalarize(lambda x, w, bb: conv3d(x, w, bb, 1)),
+    add("conv3d_s1", lambda x, w, bb: conv3d(x, w, bb, 1),
         [_t(rng, 2, 4, 4, 4), _t(rng, 3, 2, 3, 3, 3), _t(rng, 3)])
-    add("conv3d_s2", _scalarize(lambda x, w, bb: conv3d(x, w, bb, 2)),
+    add("conv3d_s2", lambda x, w, bb: conv3d(x, w, bb, 2),
         [_t(rng, 2, 5, 4, 6), _t(rng, 3, 2, 3, 3, 3), _t(rng, 3)])
     # C_out = 16 over a 2x3x2 grid lands on the stacked GEMM form; its own
     # stream keeps every later entry's inputs as they were
     wide = make_rng(seed, 0xC4)
-    add("conv3d_wide", _scalarize(lambda x, w, bb: conv3d(x, w, bb, 1)),
+    add("conv3d_wide", lambda x, w, bb: conv3d(x, w, bb, 1),
         [_t(wide, 2, 2, 3, 2), _t(wide, 16, 2, 3, 3, 3), _t(wide, 16)])
-    add("dwconv1d", _scalarize(dwconv1d_causal),
+    add("dwconv1d", dwconv1d_causal,
         [_t(rng, 6, 3), _t(rng, 3, 4), _t(rng, 3)])
-    add("upsample3d", _scalarize(upsample_nearest3d),
-        [_t(rng, 2, 2, 3, 2)])
+    add("upsample3d", upsample_nearest3d, [_t(rng, 2, 2, 3, 2)])
     # a 2x3x2 grid runs folded and a 1x2x1 grid with C_out = 5 composed;
     # like conv3d_wide, their own stream
     up = make_rng(seed, 0xC5)
-    add("upsample_conv3d_folded", _scalarize(upsample_conv3d),
+    add("upsample_conv3d_folded", upsample_conv3d,
         [_t(up, 2, 2, 3, 2), _t(up, 3, 2, 3, 3, 3), _t(up, 3)])
-    add("upsample_conv3d_composed", _scalarize(upsample_conv3d),
+    add("upsample_conv3d_composed", upsample_conv3d,
         [_t(up, 2, 1, 2, 1), _t(up, 5, 2, 3, 3, 3), _t(up, 5)])
-    add("instance_norm", _scalarize(instance_norm),
+    add("instance_norm", instance_norm,
         [_t(rng, 2, 3, 3, 3), _t(rng, 2, lo=0.5, hi=1.5), _t(rng, 2)])
 
     perm = build_permutation((2, 3, 2))
-    add("morton_gather", _scalarize(lambda x: gather_sequence(x, perm)),
+    add("morton_gather", lambda x: gather_sequence(x, perm),
         [_t(rng, 3, 2, 3, 2)])
-    add("morton_scatter", _scalarize(lambda s: scatter_back(s, perm)),
-        [_t(rng, 12, 3)])
+    add("morton_scatter", lambda s: scatter_back(s, perm), [_t(rng, 12, 3)])
 
     def recurrence_inputs(ln):  # delta, a, b, s, c with E=2, N=3
         return [_t(rng, ln, 2, 1, lo=0.1, hi=1.0),
                 _t(rng, 1, 2, 3, lo=-2.0, hi=-0.2),
                 _t(rng, ln, 1, 3), _t(rng, ln, 2, 1), _t(rng, ln, 3)]
 
-    add("linear_recurrence", _scalarize(linear_recurrence),
-        recurrence_inputs(5))
+    add("linear_recurrence", linear_recurrence, recurrence_inputs(5))
     # two full chunks and a short one: state hand-off and reverse carry
-    add("linear_recurrence_chunks", _scalarize(linear_recurrence),
+    add("linear_recurrence_chunks", linear_recurrence,
         recurrence_inputs(2 * SCAN_CHUNK + 5))
 
     scan_p = init_ssm_params(make_rng(seed, 0xC1), e=2, n=3, dtype=np.float64)
@@ -113,10 +97,10 @@ def suite(seed: int = 0) -> list:
                         b_delta=b_delta, d_skip=d_skip)
         return selective_scan(seq, sp, "forward")
 
-    add("selective_scan", _scalarize(run_scan),
+    add("selective_scan", run_scan,
         [_t(rng, 6, 2), scan_p.scan.a_log, scan_p.scan.w_b, scan_p.scan.w_c,
          scan_p.scan.w_delta, scan_p.scan.b_delta, scan_p.scan.d_skip])
-    add("gated_fusion", _scalarize(gated_fusion),
+    add("gated_fusion", gated_fusion,
         [_t(rng, 5, 3), _t(rng, 5, 3), _t(rng, 3)])
 
     cb = make_codebook(make_rng(seed, 0xC2), k=4, d=3, dtype=np.float64)
@@ -135,10 +119,7 @@ def _ste_identity(seed: int) -> GradCheckResult:
     cb = make_codebook(rng, k=4, d=3, dtype=np.float64)
     y = rng.normal(0.0, 1.0, size=(6, 3))
 
-    def downstream(t):
-        return T.tsum(T.mul(T.silu(t), t))
-
-    rep = straight_through_check(y, downstream, cb)
+    rep = straight_through_check(y, T.silu, cb)
     return GradCheckResult(name="vq_ste_identity",
                            max_rel_error=rep.max_abs_diff,
                            max_abs_error=rep.max_abs_diff,

@@ -227,8 +227,11 @@ def cmd_train(args) -> int:
     opt, start = None, 0
     if args.resume:
         entries = load_checkpoint(args.resume)
-        opt, start = load_training_state(model, entries, args.lr,
-                                         args.weight_decay)
+        try:
+            opt, start = load_training_state(model, entries, args.lr,
+                                             args.weight_decay)
+        except (KeyError, ValueError) as e:
+            raise ValueError(f"{args.resume}: {e.args[0]}") from None
 
     every = max(1, args.steps // 20) if args.steps else 1
 
@@ -279,7 +282,10 @@ def cmd_eval(args) -> int:
 
     cfg = _net_config(args.preset, args.checkpoint)
     model = Model(cfg, seed=args.seed)
-    model.load_state_dict(load_checkpoint(args.checkpoint))
+    try:
+        model.load_state_dict(load_checkpoint(args.checkpoint))
+    except (KeyError, ValueError) as e:
+        raise ValueError(f"{args.checkpoint}: {e.args[0]}") from None
 
     fixed_window = _parse_triple(args.window, "--window") if args.window \
         else None
@@ -502,15 +508,35 @@ def _apply_config_file(parser, subs, argv, args):
         if command != args.command:
             raise ValueError(f"config file is for '{command}', "
                              f"not '{args.command}'")
-        valid = {a.dest for a in subs[args.command]._actions} - {"help"}
-        unknown = set(loaded) - valid
+        actions = {a.dest: a for a in subs[args.command]._actions
+                   if a.dest != "help"}
+        unknown = set(loaded) - set(actions)
         if unknown:
             raise ValueError(f"unknown config keys for '{args.command}': "
                              f"{sorted(unknown)}")
+        loaded = {k: _config_value(actions[k], k, v)
+                  for k, v in loaded.items()}
     except ValueError as e:
         raise ValueError(f"{args.config}: {e}") from None
     subs[args.command].set_defaults(**loaded)
     return parser.parse_args(argv)
+
+
+def _config_value(action, key: str, value):
+    """value as its flag would take it: the flag's type, then its choices."""
+    if value is None and action.default is None:
+        return value
+    kind = bool if action.nargs == 0 else action.type or str
+    if kind is float and type(value) is int \
+            and abs(value) <= sys.float_info.max:
+        value = float(value)  # as float() parses the flag
+    if type(value) is not kind:
+        raise ValueError(f"'{key}' must be {kind.__name__}, "
+                         f"not {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"'{key}' must be one of {list(action.choices)}, "
+                         f"not {json.dumps(value)}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,16 @@
 """Finite-difference verification of the reverse-mode engine.
 
 ``check_gradients`` compares analytic gradients against central
-differences, (f(x+h) - f(x-h)) / 2h, evaluated in float64. Comparison is
-elementwise with combined tolerance |a - n| <= atol + rtol * |n|, and the
-reported figure of merit is the max relative error |a - n| / max(|a|, |n|)
-over checked coordinates, taken as 0 where both magnitudes sit below the
-finite-difference noise floor.
+differences, (f(x+h) - f(x-h)) / 2h, evaluated in float64. A
+tensor-valued f is reduced to the scalar <probe, f(x)> with the fixed
+cotangent probe = cos(arange(n)), which is 1 for a scalar f: the
+analytic side seeds ``backward`` with it, one reverse pass giving
+probe^T J, and the numeric side takes the dot product in numpy.
+Comparison is elementwise with combined tolerance
+|a - n| <= atol + rtol * |n|, and the reported figure of merit is the
+max relative error |a - n| / max(|a|, |n|) over checked coordinates,
+taken as 0 where both magnitudes sit below the finite-difference noise
+floor.
 
 For large parameter tensors, checking every coordinate is wasteful;
 ``sample`` coordinates are drawn without replacement from a seeded stream
@@ -17,7 +22,7 @@ flips the sign of one op's backward rule, which the checker must catch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +70,11 @@ class Sabotage:
                                for gi in backward_fn(g))
 
 
+def cotangent(out: T.Tensor) -> np.ndarray:
+    """The fixed probe cos(0), cos(1), ... laid out in out's shape."""
+    return np.cos(np.arange(out.size, dtype=np.float64)).reshape(out.shape)
+
+
 def central_difference(f, x: np.ndarray, coord: tuple, eps: float) -> float:
     """Derivative of scalar-valued f at one coordinate of x."""
     xp = x.copy()
@@ -79,8 +89,9 @@ def check_gradients(fn, inputs: list[T.Tensor], name: str = "fn",
                     seed: int = 0) -> GradCheckResult:
     """Compare fn's analytic input gradients to central differences.
 
-    fn maps the tensors in `inputs` to a scalar Tensor. All inputs must
-    be float64; the check is meaningless at single precision.
+    fn maps the tensors in `inputs` to a Tensor, which the check reduces
+    with `cotangent`. All inputs must be float64; the check is
+    meaningless at single precision.
     """
     for t in inputs:
         if t.data.dtype != np.float64:
@@ -91,9 +102,8 @@ def check_gradients(fn, inputs: list[T.Tensor], name: str = "fn",
     for t in inputs:
         t.zero_grad()
     out = fn(*inputs)
-    if out.size != 1:
-        raise ValueError("fn must return a scalar")
-    out.backward()
+    probe = cotangent(out)
+    out.backward(probe)
 
     max_rel = 0.0
     max_abs = 0.0
@@ -113,7 +123,7 @@ def check_gradients(fn, inputs: list[T.Tensor], name: str = "fn",
             inputs[_ti].data = x
             try:
                 with T.no_grad():
-                    return float(fn(*inputs).data)
+                    return float(np.sum(probe * fn(*inputs).data))
             finally:
                 inputs[_ti].data = saved
 

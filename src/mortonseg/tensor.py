@@ -2,13 +2,14 @@
 
 A Tensor wraps a contiguous row-major numpy buffer. Differentiable ops
 record a node (parents + backward closure) on the implicit tape; calling
-``backward()`` on a scalar replays the graph in reverse topological order
-and accumulates gradients into every tensor with ``requires_grad``.
+``backward()`` on a scalar, or ``backward(seed)`` with a cotangent of the
+output's shape, replays the graph in reverse topological order and
+accumulates gradients into every tensor with ``requires_grad``.
 
-Broadcasting follows the numpy rule: shapes are right-aligned and axes of
-extent 1 (or missing leading axes) stretch to match. Backward passes sum
-gradients over the stretched axes, so ``shape(op(a, b))`` is a pure
-function of the input shapes.
+The ops are the ones the model records; gradient checks seed
+``backward`` rather than reduce on the tape. Nothing broadcasts: ``add``,
+the one binary op, takes two Tensors of the same shape and dtype, so
+every gradient has its operand's shape.
 
 Gradient policy: ``backward()`` may be called more than once on the same
 graph; each call re-runs the recorded closures, which are deterministic,
@@ -100,19 +101,6 @@ def check_finite(op: str, out: Tensor, parents: tuple, backward_fn):
     if not np.all(np.isfinite(out.data)):
         raise NumericalError(f"non-finite values produced by op '{op}'")
     return backward_fn
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad over axes that were stretched to reach its current shape."""
-    if grad.shape == tuple(shape):
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    keep = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if keep:
-        grad = grad.sum(axis=keep, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -245,35 +233,15 @@ def named_tensors(obj, prefix: str = "") -> dict:
     return out
 
 
-def _coerce_pair(a, b) -> tuple[Tensor, Tensor]:
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        if a.data.dtype != b.data.dtype:
-            raise TypeError(
-                f"mixed dtypes {a.data.dtype}/{b.data.dtype}; convert explicitly")
-        return a, b
-    if isinstance(a, Tensor):
-        return a, Tensor(b, dtype=a.data.dtype)
-    return Tensor(a, dtype=b.data.dtype), b
-
-
 # -- elementwise binary ops ----------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    sa, sb = a.shape, b.shape
-    return Tensor._make(
-        a.data + b.data, (a, b),
-        lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)), "add")
-
-
-def mul(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    sa, sb = a.shape, b.shape
-    ad, bd = a.data, b.data
-    return Tensor._make(
-        ad * bd, (a, b),
-        lambda g: (_unbroadcast(g * bd, sa), _unbroadcast(g * ad, sb)), "mul")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ValueError(f"add needs equal shapes, got {a.shape} and {b.shape}")
+    if a.dtype != b.dtype:
+        raise TypeError(f"mixed dtypes {a.dtype}/{b.dtype}; convert explicitly")
+    return Tensor._make(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 # -- elementwise unary ops -------------------------------------------------
@@ -294,19 +262,6 @@ def silu(a: Tensor) -> Tensor:
     ad = a.data
     return Tensor._make(
         ad * s, (a,), lambda g: (g * (s * (1.0 + ad * (1.0 - s))),), "silu")
-
-
-# -- reductions -------------------------------------------------------------
-
-
-def tsum(a: Tensor, axis=None) -> Tensor:
-    shape = a.shape
-
-    def bwd(g):
-        gx = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gx, shape).copy(),)
-
-    return Tensor._make(a.data.sum(axis=axis), (a,), bwd, "sum")
 
 
 # -- shape ops --------------------------------------------------------------

@@ -213,5 +213,10 @@ def load_training_state(model: Model, entries: dict,
                         lr: float, weight_decay: float) -> tuple[AdamW, int]:
     model.load_state_dict(entries)
     opt = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
+    missing = [k for k in [*opt.state_entries(), "train.step"]
+               if k not in entries]
+    if missing:  # a model-only checkpoint
+        raise KeyError(f"checkpoint is missing {len(missing)} "
+                       f"training-state entries, first '{missing[0]}'")
     opt.load_state_entries(entries)
     return opt, int(round(float(entries["train.step"][0])))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .gradcheck import cotangent
 from .tensor import Tensor
 
 DEFAULT_DECAY = 0.99
@@ -153,16 +154,18 @@ def straight_through_check(y_values: np.ndarray, downstream,
     """Verify the quantizer's backward is exactly identity.
 
     Runs downstream(quantize(y)) and downstream(leaf holding the same
-    quantized values); the gradients reaching y and the leaf must match
-    bit for bit.
+    quantized values), each seeded with the gradient checks' cotangent;
+    the gradients reaching y and the leaf must match bit for bit.
     """
     y = Tensor(y_values, requires_grad=True, dtype=np.asarray(y_values).dtype)
     res = quantize(y, cb)
-    downstream(res.quantized).backward()
+    out = downstream(res.quantized)
+    out.backward(cotangent(out))
 
     bypass = Tensor(res.quantized.data.copy(), requires_grad=True,
                     dtype=res.quantized.data.dtype)
-    downstream(bypass).backward()
+    out = downstream(bypass)
+    out.backward(cotangent(out))
 
     same = (y.grad is not None and bypass.grad is not None
             and np.array_equal(y.grad, bypass.grad))

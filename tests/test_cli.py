@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from mortonseg.analysis import EvalRecord, read_eval_csv, write_eval_csv
+from mortonseg.checkpoint import load_checkpoint, save_checkpoint
 from mortonseg.cli import main
 from mortonseg.folds import load_folds
 from mortonseg.network import RETIRED_CONFIG_KEYS
@@ -145,6 +146,34 @@ def test_train_resume_reads_net_config_sidecar(tmp_path, dataset):
         (full / "net_config.json").read_bytes()
     for d in (full, resumed):  # 300 MB each
         (d / "checkpoint.mseg").unlink()
+
+
+def test_train_resume_of_model_only_checkpoint_names_file_and_entry(
+        tmp_path, dataset, trained, capsys):
+    entries = load_checkpoint(trained / "checkpoint.mseg")
+    model_only = tmp_path / "model_only.mseg"
+    save_checkpoint(model_only, {k: v for k, v in entries.items()
+                                 if not k.startswith(("opt.", "train."))})
+    rc = main(["train", "--data", str(dataset), "--steps", "1",
+               "--resume", str(model_only), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model_only}: "), err
+    assert "'opt.t'" in err
+    assert not (tmp_path / "out" / "checkpoint.mseg").exists()
+
+
+def test_eval_of_checkpoint_missing_an_entry_names_file_and_entry(
+        tmp_path, dataset, trained, capsys):
+    entries = load_checkpoint(trained / "checkpoint.mseg")
+    del entries["head.b"]
+    partial = tmp_path / "partial.mseg"
+    save_checkpoint(partial, entries)
+    assert main(["eval", "--checkpoint", str(partial), "--data", str(dataset),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {partial}: checkpoint is missing "
+                          "'head.b'"), err
 
 
 def test_train_validates_flags(work, dataset):
@@ -402,6 +431,16 @@ def test_analyze_names_missing_columns(work, capsys):
     assert "dice_wt" in err and "et_volume" in err
 
 
+def test_analyze_names_a_file_that_is_not_utf8(work, capsys):
+    src = work / "latin1.csv"
+    write_eval_csv(src, make_records())
+    src.write_bytes(src.read_bytes().replace(b"r024", b"r\xff24"))
+    assert main(["analyze", "--eval", str(src),
+                 "--out", str(work / "a_latin1")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: not UTF-8 text"), err
+
+
 def test_analyze_too_few_cases_fails(work):
     src = work / "short.csv"
     write_eval_csv(src, make_records(4))
@@ -490,7 +529,7 @@ def test_unknown_command_is_usage_error():
     assert main(["train"]) == 1  # missing required --data
 
 
-def test_config_file_merging(work):
+def test_config_file_merging(work, dataset):
     cfg = work / "phantoms.json"
     cfg.write_text(json.dumps(
         {"command": "phantoms", "n": 3, "seed": 9}))
@@ -516,6 +555,16 @@ def test_config_file_merging(work):
     assert main(["phantoms", "--config", str(work / "missing.json"),
                  "--out", str(work / "c5")]) == 3
 
+    # an int passes as a float flag, as float() parses the flag
+    typed = work / "typed.json"
+    typed.write_text(json.dumps({"command": "train", "lr": 1, "steps": 0,
+                                 "preset": None, "no_augment": True}))
+    d6 = work / "c6"
+    assert main(["train", "--config", str(typed), "--data", str(dataset),
+                 "--out", str(d6)]) == 0
+    echoed = json.loads((d6 / "run_config.json").read_text())
+    assert echoed["lr"] == 1.0 and isinstance(echoed["lr"], float)
+
 
 def test_config_errors_name_the_file(work, capsys):
     for name, text in [("truncated.json", '{"n": 3, '),
@@ -528,6 +577,25 @@ def test_config_errors_name_the_file(work, capsys):
                      "--out", str(work / "c_named")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: "), err
+
+    # a value must pass its flag's own type and choices checks
+    for key, config in [
+            ("precision", {"command": "gradcheck", "precision": "f16"}),
+            ("shape", {"command": "phantoms", "shape": 32}),
+            ("n", {"command": "phantoms", "n": [3]}),
+            ("n", {"command": "phantoms", "n": 3.0}),
+            ("no_augment", {"command": "train", "no_augment": 1}),
+            ("lr", {"command": "train", "lr": "1e-3"})]:
+        cfg = work / f"bad_{key}.json"
+        cfg.write_text(json.dumps(config))
+        out = work / f"c_{key}"
+        argv = [config["command"], "--config", str(cfg), "--out", str(out)]
+        if config["command"] == "train":
+            argv += ["--data", str(work / "no_data")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: '{key}' "), err
+        assert not out.exists()
 
 
 def test_run_config_echoed(work, dataset):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from mortonseg import tensor as T
-from mortonseg.gradcheck import Sabotage, central_difference, check_gradients
+from mortonseg.gradcheck import (Sabotage, central_difference, check_gradients,
+                                 cotangent)
 from mortonseg.checksuite import run_suite, suite
 from mortonseg.tensor import Tensor
 
@@ -28,11 +29,7 @@ def test_central_difference_on_quadratic():
 
 def test_passes_correct_gradient():
     x = leaf(np.random.default_rng(0).standard_normal((3, 3)))
-
-    def fn(x):
-        return T.tsum(T.mul(T.silu(x), x))
-
-    res = check_gradients(fn, [x], "silu_times_x")
+    res = check_gradients(T.silu, [x], "silu")
     assert res.passed
     assert res.max_rel_error < 1e-4
     assert res.n_checked == 9
@@ -46,30 +43,36 @@ def test_catches_wrong_backward():
         return Tensor._make(t.data ** 2, (t,), lambda g: (g * t.data,),
                             "broken_square")
 
-    res = check_gradients(lambda t: T.tsum(broken(t)), [x], "broken")
+    res = check_gradients(broken, [x], "broken")
     assert not res.passed
     assert res.max_rel_error > 0.1
 
 
 def test_catches_sabotaged_op():
     x = leaf(np.random.default_rng(2).standard_normal((2, 3)))
-    y = leaf(np.random.default_rng(3).standard_normal((2, 3)))
-    with T.op_hook(Sabotage("mul")):
-        res = check_gradients(lambda a, b: T.tsum(T.mul(a, b)), [x, y],
-                              "sabotaged_mul")
+    with T.op_hook(Sabotage("silu")):
+        res = check_gradients(T.silu, [x], "sabotaged_silu")
     assert not res.passed
+
+
+def test_tensor_valued_fn_is_seeded_with_the_cosine_cotangent():
+    # f(x) = x reshaped has Jacobian I, so the gradient is the probe itself
+    x = leaf(np.random.default_rng(5).standard_normal((2, 3)))
+    res = check_gradients(lambda t: T.reshape(t, (3, 2)), [x], "reshape")
+    assert res.passed
+    assert np.array_equal(x.grad, np.cos(np.arange(6.0)).reshape(2, 3))
+    assert cotangent(T.Tensor(2.0)) == 1.0
 
 
 def test_requires_float64_leaves():
     x = Tensor(np.ones(3), dtype=np.float32, requires_grad=True)
     with pytest.raises(TypeError):
-        check_gradients(lambda t: T.tsum(t), [x], "f32")
+        check_gradients(T.silu, [x], "f32")
 
 
 def test_sampling_limits_coordinates():
     x = leaf(np.random.default_rng(4).standard_normal((10, 10)))
-    res = check_gradients(lambda t: T.tsum(T.mul(t, t)), [x], "sampled",
-                          sample=7, seed=3)
+    res = check_gradients(T.silu, [x], "sampled", sample=7, seed=3)
     assert res.passed
     assert res.n_checked == 7
 

@@ -6,6 +6,7 @@ module); sliding-window inference is checked for exactness in the
 degenerate case and full coverage in the tiled case.
 """
 
+import functools
 import inspect
 
 import numpy as np
@@ -139,10 +140,12 @@ def norm_inputs(dtype, c=3, shape=(4, 5, 6), gamma=None, beta=None, seed=0):
 
 def chained_instance_norm(x, gamma, beta):
     """The composed epilogue: layer_norm, affine, then np.maximum(., 0)."""
-    c = x.shape[0]
-    pre = T.add(T.mul(T.layer_norm(x, axis=(1, 2, 3)),
-                      T.reshape(gamma, (c, 1, 1, 1))),
-                T.reshape(beta, (c, 1, 1, 1)))
+    x_hat = T.layer_norm(x, axis=(1, 2, 3))
+    g4, b4 = (t.data.reshape(-1, 1, 1, 1) for t in (gamma, beta))
+    pre = Tensor._make(
+        x_hat.data * g4 + b4, (x_hat, gamma, beta),
+        lambda g: (g * g4, (g * x_hat.data).sum(axis=(1, 2, 3)),
+                   g.sum(axis=(1, 2, 3))), "affine")
     mask = pre.data > 0
     return Tensor._make(np.maximum(pre.data, 0), (pre,),
                         lambda g: (g * mask,), "relu")
@@ -186,7 +189,7 @@ def test_instance_norm_matches_the_chain_in_f64():
     for fn in (instance_norm, chained_instance_norm):
         ins = norm_inputs(np.float64, seed=2)
         out = fn(*ins)
-        T.tsum(T.mul(out, Tensor(probe, dtype=np.float64))).backward()
+        out.backward(probe)
         results.append([out.data] + [t.grad for t in ins])
     for got, want in zip(*results):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -272,28 +275,29 @@ def recorded_step_ops() -> set:
         feat = Tensor(np.random.default_rng(8).standard_normal((3, 2, 2, 2)),
                       requires_grad=True)
         out = bidir_scan_block(feat, p, build_permutation((2, 2, 2)))
-        T.tsum(out).backward()
+        out.backward(np.ones(out.shape))
 
     return set(recorded_ops(model_step)) | set(recorded_ops(scan_step))
 
 
+@functools.cache
+def checked_ops() -> frozenset:
+    """Ops the gradient checks record, composed_forward aside: it runs the
+    model again and would add no op."""
+    checks = [fn for name, fn in suite() if name != "composed_forward"]
+    return frozenset(recorded_ops(lambda: [fn() for fn in checks]))
+
+
 def test_every_recorded_op_has_a_gradient_check():
     # criterion 1 says every op passes an f64 FD check; an op the model
-    # or a scan block records with no suite entry would slip past it
-    names = [name for name, _ in suite()]
-    unchecked = sorted(op for op in recorded_step_ops()
-                       if not any(n.startswith(op) for n in names))
-    assert not unchecked
+    # or a scan block records that no check runs would slip past it
+    assert sorted(recorded_step_ops() - checked_ops()) == []
 
 
 def test_every_gradient_check_covers_a_recorded_op():
-    # the reverse: a primitive whose last caller has gone keeps its entry
-    # only here, so its check would outlive the code it guards
-    composite = {"vq_ste_identity", "composed_forward"}
-    ops = recorded_step_ops()
-    stale = sorted(name for name, _ in suite() if name not in composite
-                   and not any(name.startswith(op) for op in ops))
-    assert not stale
+    # the reverse: an op that only the checks record outlives the code
+    # it was for
+    assert sorted(checked_ops() - recorded_step_ops()) == []
 
 
 # ---------------------------------------------------------------- one-hot
@@ -603,13 +607,13 @@ def test_sliding_window_rejects_oversized_window():
     (conv.upsample_nearest3d, "factor"),
     (instance_norm, "eps"),
     (T.layer_norm, "eps"),
-    (T.tsum, "keepdims"),
     (sliding_window_infer, "overlap"),
     (ce_dice_loss, "commit_weight"),
     (Model.forward, "train"),
     (phantom.generate_phantom, "noise_sigma"),
     (gradcheck.check_gradients, "rtol"),
     (gradcheck.check_gradients, "atol"),
+    (gradcheck.check_gradients, "probe"),
     (AdamW, "eps"),
 ])
 def test_fixed_settings_are_constants(fn, removed):

@@ -4,12 +4,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mortonseg import tensor as T
 from mortonseg.gradcheck import Sabotage, check_gradients
+from mortonseg.network import ce_dice_loss
 from mortonseg.rng import make_rng
+from mortonseg.vq import make_codebook, quantize
 
 
 def leaf(rng, *shape, lo=-2.0, hi=2.0):
@@ -22,29 +22,18 @@ def random_shape(rng, max_ndim=3, max_extent=5):
     return tuple(int(rng.integers(1, max_extent + 1)) for _ in range(nd))
 
 
-def scalarize(fn):
-    """Wrap an op into a scalar loss with a fixed cosine probe."""
-    def wrapped(*ts):
-        out = fn(*ts)
-        probe = T.Tensor(np.cos(np.arange(out.size, dtype=np.float64))
-                         .reshape(out.shape), dtype=np.float64)
-        return T.tsum(T.mul(out, probe))
-    return wrapped
-
-
 UNARY_OPS = [
     ("silu", T.silu, (-3.0, 3.0)),
 ]
 
 BINARY_OPS = [
     ("add", T.add, (-2.0, 2.0)),
-    ("mul", T.mul, (-2.0, 2.0)),
 ]
 
 
 # pinned test ids, so each case keeps its name across revisions of the list
 UNARY_IDS = ["silu-silu-box6"]
-BINARY_IDS = ["add-add-box0", "mul-mul-box2"]
+BINARY_IDS = ["add-add-box0"]
 
 
 @pytest.mark.parametrize("name,op,box", UNARY_OPS, ids=UNARY_IDS)
@@ -53,7 +42,7 @@ def test_unary_op_gradients_on_random_shapes(name, op, box):
     for trial in range(5):
         rng = make_rng(17, trial)
         x = leaf(rng, *random_shape(rng), lo=box[0], hi=box[1])
-        res = check_gradients(scalarize(op), [x], name=name, seed=trial)
+        res = check_gradients(op, [x], name=name, seed=trial)
         assert res.passed, str(res)
         assert res.max_rel_error < 1e-4
 
@@ -65,21 +54,15 @@ def test_binary_op_gradients_on_random_shapes(name, op, box):
         shape = random_shape(rng)
         a = leaf(rng, *shape, lo=box[0], hi=box[1])
         b = leaf(rng, *shape, lo=box[0], hi=box[1])
-        res = check_gradients(scalarize(op), [a, b], name=name, seed=trial)
+        res = check_gradients(op, [a, b], name=name, seed=trial)
         assert res.passed, str(res)
 
 
 @pytest.mark.parametrize("name,fn", [
-    ("sum_all", lambda x: T.tsum(x)),
-    ("sum_axis0", lambda x: T.tsum(T.silu(T.tsum(x, axis=0)))),
-    ("layer_norm", lambda x: T.tsum(T.mul(T.layer_norm(x, axis=-1),
-                                          T.Tensor(np.cos(np.arange(x.size))
-                                                   .reshape(x.shape),
-                                                   dtype=np.float64)))),
-    ("reshape", lambda x: T.tsum(T.silu(T.reshape(x, (-1,))))),
-    ("transpose", lambda x: T.tsum(T.mul(T.transpose(x),
-                                         T.transpose(x)))),
-    ("flip", lambda x: T.tsum(T.mul(T.flip(x, axis=0), x))),
+    ("layer_norm", lambda x: T.layer_norm(x, axis=-1)),
+    ("reshape", lambda x: T.silu(T.reshape(x, (-1,)))),
+    ("transpose", lambda x: T.silu(T.transpose(x))),
+    ("flip", lambda x: T.add(T.flip(x, axis=0), x)),
 ])
 def test_structured_op_gradients(name, fn):
     for trial in range(5):
@@ -124,62 +107,64 @@ def test_take_and_concat_gradients():
     x = leaf(rng, 5, 3)
     y = leaf(rng, 2, 3)
 
-    def fn(a, b):
-        joined = T.concat([a, b], axis=0)
-        return T.mul(joined, joined)
-
-    res = check_gradients(scalarize(fn), [x, y], name="concat")
+    res = check_gradients(lambda a, b: T.silu(T.concat([a, b], axis=0)),
+                          [x, y], name="concat")
     assert res.passed, str(res)
 
 
-def test_broadcasting_gradients_match_fd():
-    rng = make_rng(22)
-    a = leaf(rng, 4, 1, 3)
-    b = leaf(rng, 2, 3)
-    res = check_gradients(scalarize(T.mul), [a, b], name="broadcast_mul")
-    assert res.passed, str(res)
+def test_add_takes_one_shape_and_dtype():
+    a = T.Tensor(np.ones((3, 4)), dtype=np.float64)
+    with pytest.raises(ValueError, match=r"\(3, 4\) and \(4,\)"):
+        T.add(a, T.Tensor(np.ones(4), dtype=np.float64))
+    with pytest.raises(TypeError, match="mixed dtypes"):
+        T.add(a, T.Tensor(np.ones((3, 4)), dtype=np.float32))
 
 
 # -- tape mechanics ----------------------------------------------------------
 
 
+def silu_grad(v):
+    s = 1.0 / (1.0 + np.exp(-v))
+    return s * (1.0 + v * (1.0 - s))
+
+
 def test_diamond_graph_accumulates_both_paths():
     x = T.Tensor([3.0], requires_grad=True, dtype=np.float64)
     y = T.Tensor([5.0], requires_grad=True, dtype=np.float64)
-    z = T.tsum(T.add(T.mul(x, y), x))     # z = x*y + x
+    z = T.add(T.silu(x), T.add(x, y))     # z = silu(x) + x + y
     z.backward()
-    assert np.allclose(x.grad, [6.0])     # y + 1
-    assert np.allclose(y.grad, [3.0])     # x
+    assert np.allclose(x.grad, silu_grad(3.0) + 1.0)
+    assert np.allclose(y.grad, [1.0])
 
 
 def test_backward_accumulates_across_calls():
     x = T.Tensor([2.0], requires_grad=True, dtype=np.float64)
-    T.tsum(T.mul(x, x)).backward()
+    T.silu(x).backward()
     first = x.grad.copy()
-    T.tsum(T.mul(x, x)).backward()
+    T.silu(x).backward()
     assert np.allclose(x.grad, 2.0 * first)
 
 
 def test_grad_only_on_leaves():
     x = T.Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
-    mid = T.mul(x, x)
-    T.tsum(mid).backward()
+    mid = T.silu(x)
+    T.add(mid, mid).backward(np.ones(2))
     assert x.grad is not None
     assert mid.grad is None
 
 
 def test_backward_nonscalar_requires_seed():
     x = T.Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
-    y = T.mul(x, x)
+    y = T.silu(x)
     with pytest.raises(ValueError):
         y.backward()
-    y.backward(np.ones(2))
-    assert np.allclose(x.grad, [2.0, 4.0])
+    y.backward(np.array([1.0, 3.0]))
+    assert np.allclose(x.grad, silu_grad(np.array([1.0, 2.0])) * [1.0, 3.0])
 
 
 def test_seed_gradient_shape_mismatch_raises():
     x = T.Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
-    y = T.mul(x, x)
+    y = T.silu(x)
     with pytest.raises(ValueError):
         y.backward(np.ones(3))
 
@@ -187,7 +172,7 @@ def test_seed_gradient_shape_mismatch_raises():
 def test_no_grad_disables_taping():
     x = T.Tensor([1.0], requires_grad=True, dtype=np.float64)
     with T.no_grad():
-        y = T.mul(x, x)
+        y = T.silu(x)
     assert not y.requires_grad
     assert y._backward_fn is None
 
@@ -200,8 +185,17 @@ def test_requires_grad_propagation():
 
 
 def test_full_reduction_is_zero_dim():
-    x = T.Tensor(np.ones((3, 4)), requires_grad=True, dtype=np.float64)
-    assert T.tsum(x).shape == ()
+    # the model's full reductions: backward() takes them without a seed
+    rng = make_rng(24)
+    logits = leaf(rng, 4, 2, 3, 2)
+    labels = np.arange(12).reshape(2, 3, 2) % 4
+    y = leaf(rng, 5, 3)
+    cb = make_codebook(rng, k=4, d=3, dtype=np.float64)
+    for out in (ce_dice_loss(logits, labels).total,
+                quantize(y, cb).commit_loss):
+        assert out.shape == ()
+        out.backward()
+    assert logits.grad.shape == logits.shape and y.grad.shape == y.shape
 
 
 def test_scalar_tensor_stays_zero_dim():
@@ -213,15 +207,15 @@ def test_scalar_tensor_stays_zero_dim():
 
 
 def test_nonfinite_output_raises_numerical_error():
-    x = T.Tensor([1e200], requires_grad=True, dtype=np.float64)
+    x = T.Tensor([1e308], requires_grad=True, dtype=np.float64)
     with T.op_hook(T.check_finite):
-        with pytest.raises(T.NumericalError, match="'mul'"):
+        with pytest.raises(T.NumericalError, match="'add'"):
             with np.errstate(over="ignore"):
-                T.mul(x, x)
+                T.add(x, x)
         # untaped ops are checked too
-        with T.no_grad(), pytest.raises(T.NumericalError, match="'mul'"):
+        with T.no_grad(), pytest.raises(T.NumericalError, match="'add'"):
             with np.errstate(over="ignore"):
-                T.mul(x, x)
+                T.add(x, x)
 
 
 def test_op_hook_is_removed_when_its_block_exits():
@@ -236,10 +230,10 @@ def test_op_hook_is_removed_when_its_block_exits():
         T.silu(x)
     with pytest.raises(RuntimeError):
         with T.op_hook(hook):
-            T.mul(x, x)
+            T.add(x, x)
             raise RuntimeError("leave the block")
-    T.add(x, x)
-    assert seen == ["silu", "mul"]
+    T.silu(x)
+    assert seen == ["silu", "add"]
 
 
 def test_named_tensors_walks_fields_items_and_attributes():
@@ -277,17 +271,6 @@ def test_set_default_dtype_rejects_non_float():
 
 def test_sabotage_hook_flips_backward_sign():
     x = T.Tensor([1.0, -2.0], requires_grad=True, dtype=np.float64)
-    with T.op_hook(Sabotage("mul")):
-        T.tsum(T.mul(x, x)).backward()
-    assert np.allclose(x.grad, [-2.0, 4.0])  # sign-flipped 2x
-
-
-# -- property tests ----------------------------------------------------------
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=20))
-def test_sum_linearity(values):
-    x = T.Tensor(values, requires_grad=True, dtype=np.float64)
-    T.tsum(T.mul(x, 3.0)).backward()
-    assert np.allclose(x.grad, 3.0)
+    with T.op_hook(Sabotage("add")):
+        T.add(x, x).backward(np.array([1.0, 3.0]))
+    assert np.array_equal(x.grad, [-2.0, -6.0])  # sign-flipped 2g

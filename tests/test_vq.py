@@ -130,10 +130,9 @@ def test_ste_backward_is_identity_bit_exact():
 def test_straight_through_check_nontrivial_downstream():
     rng = make_rng(71)
     cb = fresh_codebook(rng, 4, 3)
-    w = Tensor(rng.normal(0, 1, 3), dtype=np.float64)
 
-    def downstream(q):
-        return T.tsum(T.mul(T.silu(T.mul(q, w)), q))
+    def downstream(q):  # q reaches the output twice, once flipped
+        return T.add(T.silu(q), T.flip(q, 0))
 
     rep = straight_through_check(rng.normal(0, 0.05, (9, 3)), downstream, cb)
     assert rep.passed
