@@ -57,11 +57,11 @@ def suite(seed: int = 0) -> list:
         [_t(rng, 2, 4, 4, 4), _t(rng, 3, 2, 3, 3, 3), _t(rng, 3)])
     add("conv3d_s2", lambda x, w, bb: conv3d(x, w, bb, 2),
         [_t(rng, 2, 5, 4, 6), _t(rng, 3, 2, 3, 3, 3), _t(rng, 3)])
-    # C_out = 16 over a 2x3x2 grid lands on the stacked GEMM form; its own
-    # stream keeps every later entry's inputs as they were
+    # C_out = 16 over a 2x3x2 grid lands on the stacked GEMM form, here
+    # without a bias; its own stream keeps later entries' inputs as they were
     wide = make_rng(seed, 0xC4)
-    add("conv3d_wide", lambda x, w, bb: conv3d(x, w, bb, 1),
-        [_t(wide, 2, 2, 3, 2), _t(wide, 16, 2, 3, 3, 3), _t(wide, 16)])
+    add("conv3d_wide", conv3d,
+        [_t(wide, 2, 2, 3, 2), _t(wide, 16, 2, 3, 3, 3)])
     add("dwconv1d", dwconv1d_causal,
         [_t(rng, 6, 3), _t(rng, 3, 4), _t(rng, 3)])
     add("upsample3d", upsample_nearest3d, [_t(rng, 2, 2, 3, 2)])
@@ -69,9 +69,9 @@ def suite(seed: int = 0) -> list:
     # like conv3d_wide, their own stream
     up = make_rng(seed, 0xC5)
     add("upsample_conv3d_folded", upsample_conv3d,
-        [_t(up, 2, 2, 3, 2), _t(up, 3, 2, 3, 3, 3), _t(up, 3)])
+        [_t(up, 2, 2, 3, 2), _t(up, 3, 2, 3, 3, 3)])
     add("upsample_conv3d_composed", upsample_conv3d,
-        [_t(up, 2, 1, 2, 1), _t(up, 5, 2, 3, 3, 3), _t(up, 5)])
+        [_t(up, 2, 1, 2, 1), _t(up, 5, 2, 3, 3, 3)])
     add("instance_norm", instance_norm,
         [_t(rng, 2, 3, 3, 3), _t(rng, 2, lo=0.5, hi=1.5), _t(rng, 2)])
 

@@ -3,10 +3,10 @@
 Subcommands: gradcheck, phantoms, folds, train, eval, analyze, bench.
 Every command takes --seed / --precision / --out plus its own flags, and
 an optional --config pointing at a JSON file whose keys mirror the flag
-names (explicit flags win over the file). Commands that produce
-artifacts echo their resolved configuration into the output directory
-as run_config.json, and none of the outputs embed timestamps, so a rerun
-with identical inputs is byte-identical.
+names (explicit flags win over the file). --out is made only once a
+command's inputs pass validation, and it gets the resolved configuration
+as run_config.json. No output embeds a timestamp, so a rerun with
+identical inputs is byte-identical.
 
 Exit status: 0 success, 1 validation error, 2 numerical failure,
 3 IO error.
@@ -84,8 +84,6 @@ def _parse_range(text: str, what: str) -> tuple:
 
 
 def _out_dir(args) -> Path:
-    if not args.out:
-        raise ValueError("this command requires --out")
     d = Path(args.out)
     d.mkdir(parents=True, exist_ok=True)
     return d
@@ -150,11 +148,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_phantoms(args) -> int:
-    out = _out_dir(args)
     shape = _parse_triple(args.shape, "--shape")
     lo, hi = _parse_range(args.et_range, "--et-range")
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    out = _out_dir(args)
 
     index = []
     for i in range(args.n):
@@ -200,9 +198,9 @@ def _scan_case_fivs(data_dir) -> list:
 
 
 def cmd_folds(args) -> int:
-    out = _out_dir(args)
     pairs = _scan_case_fivs(args.data)
     fa = build_systematic_folds(pairs, seed=args.seed)
+    out = _out_dir(args)
     save_folds(out / "folds.json", fa)
     _echo_config(out, args)
 
@@ -215,7 +213,6 @@ def cmd_folds(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out = _out_dir(args)
     cases = load_dataset(args.data)
     cfg = _net_config(args.preset, args.resume)
     if not (0 < args.lr < np.inf and 0 <= args.weight_decay < np.inf
@@ -232,6 +229,7 @@ def cmd_train(args) -> int:
                                              args.weight_decay)
         except (KeyError, ValueError) as e:
             raise ValueError(f"{args.resume}: {e.args[0]}") from None
+    out = _out_dir(args)
 
     every = max(1, args.steps // 20) if args.steps else 1
 
@@ -265,7 +263,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.fold is not None and not args.folds:
         raise ValueError("--fold needs --folds, the assignment it indexes")
-    out = _out_dir(args)
     cases = load_dataset(args.data)
     if args.folds:
         fa = load_folds(args.folds)
@@ -289,6 +286,7 @@ def cmd_eval(args) -> int:
 
     fixed_window = _parse_triple(args.window, "--window") if args.window \
         else None
+    out = _out_dir(args)
     reports, records = [], []
     for case in cases:
         x = normalize_modalities(case.modalities)
@@ -315,10 +313,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    out = _out_dir(args)
     records = read_eval_csv(args.eval)
     bins = analyze_dice_bins(records)
     quintiles = analyze_et_quintiles(records)
+    out = _out_dir(args)
     for name, rows in (("dice_bins.csv", bins),
                        ("et_quintiles.csv", quintiles)):
         write_rows_csv(out / name, list(rows[0]),
@@ -396,10 +394,10 @@ def _bench_svg(rows) -> str:
 
 
 def cmd_bench(args) -> int:
-    out = _out_dir(args)
     resolutions = _parse_resolutions(args.resolutions)
     cfg = _net_config(args.preset or "full")
     rows = bench_rows(cfg, resolutions)
+    out = _out_dir(args)
 
     write_rows_csv(out / "flops.csv",
                    ["resolution", "dual_flops", "reference_flops",
@@ -549,6 +547,8 @@ def main(argv=None) -> int:
             args = _apply_config_file(parser, subs, argv, args)
         T.set_default_dtype(np.float64 if args.precision == "f64"
                             else np.float32)
+        if not args.out and args.command != "gradcheck":
+            raise ValueError("this command requires --out")
         return _COMMANDS[args.command](args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

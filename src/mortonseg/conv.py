@@ -21,7 +21,7 @@ taps. The tape keeps only the phases, about the padded input's size.
 - upsample_conv3d, conv3d after a 2x nearest-neighbor upsample with the
   upsample folded into the kernel: the 27 taps are the low-res offsets,
   each one GEMM with the folded kernels of the 1-8 output phases that
-  read it.
+  read it. It takes no bias; conv3d's is optional.
 """
 
 from __future__ import annotations
@@ -96,25 +96,25 @@ def _tap_adjoints(wmats, slices, gouts, taps, gflat) -> list:
     return gws
 
 
-def _check_kernel(x: Tensor, w: Tensor, b: Tensor) -> None:
+def _check_kernel(x: Tensor, w: Tensor, b: Tensor | None = None) -> None:
     cout, cin_w, k, k2, k3 = w.shape
     if x.shape[0] != cin_w or k != k2 or k != k3:
         raise ValueError(f"kernel {w.shape} does not match input {x.shape}")
-    if b.shape != (cout,):
+    if b is not None and b.shape != (cout,):
         raise ValueError("bias shape must be (C_out,)")
 
 
-def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
+           stride: int = 1) -> Tensor:
     """3-D convolution, pad=k//2.
 
-    x: (C_in, D, H, W); w: (C_out, C_in, k, k, k); b: (C_out,).
+    x: (C_in, D, H, W); w: (C_out, C_in, k, k, k); b: (C_out,) or None.
     Returns (C_out, ceil(D/s), ceil(H/s), ceil(W/s)).
     """
     _check_kernel(x, w, b)
     if stride not in (1, 2):
         raise ValueError("stride must be 1 or 2")
-    cin = x.shape[0]
-    cout, k = w.shape[0], w.shape[2]
+    cout, cin, k = w.shape[:3]
     od, oh, ow = (conv_out_extent(e, stride) for e in x.shape[1:])
     flat, taps, grid, slices = _flat_phases(x.data, k, stride)
     gh, gw = grid[1:]
@@ -142,7 +142,8 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
                        dtype=np.result_type(x.data, w.data))
         _tap_products(wt, slices, [acc[:, :n]] * len(taps))
         out = acc.reshape(cout, od, gh, gw)[:, :, :oh, :ow]
-    out = out + b.data[:, None, None, None]
+    if b is not None:
+        out += b.data[:, None, None, None]
 
     def bwd(g):
         gflat = np.zeros_like(flat)
@@ -159,10 +160,12 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
             gf = gf.reshape(cout, -1)[:, :n]
             gk = np.stack(_tap_adjoints(wt, slices, [gf] * len(taps), taps,
                                         gflat), axis=-1)
-        return (_unflat_phases(gflat, x.shape, grid, k, stride),
-                gk.reshape(w.shape), g.sum(axis=(1, 2, 3)))
+        grads = (_unflat_phases(gflat, x.shape, grid, k, stride),
+                 gk.reshape(w.shape))
+        return grads if b is None else grads + (g.sum(axis=(1, 2, 3)),)
 
-    return Tensor._make(out, (x, w, b), bwd, "conv3d")
+    return Tensor._make(out, (x, w) if b is None else (x, w, b), bwd,
+                        "conv3d")
 
 
 # Per axis, output phase 0 of conv3(upsample2(x)) reads the low-res offsets
@@ -195,8 +198,8 @@ def upsample_conv_folds(grid: tuple, cout: int) -> bool:
     return ((d - 1) * (h + 2) + h - 1) * (wd + 2) + wd >= cout
 
 
-def upsample_conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """conv3d(upsample_nearest3d(x), w, b) for a 3x3x3 kernel, as one op.
+def upsample_conv3d(x: Tensor, w: Tensor) -> Tensor:
+    """conv3d(upsample_nearest3d(x), w) for a 3x3x3 kernel, as one op.
 
     Each output voxel of the 2x grid is one of 8 phases (its coordinates'
     parities), and a phase reads only 2 low-res offsets per axis (_FOLD),
@@ -208,13 +211,13 @@ def upsample_conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     own adjoint. In f32 the folded kernel sums weights before multiplying,
     so results differ from the composed pair's in the last bits.
     """
-    _check_kernel(x, w, b)
+    _check_kernel(x, w)
     if w.shape[2] != 3:
         raise ValueError("upsample_conv3d takes a 3x3x3 kernel")
     cin, d, h, wd = x.shape
     cout = w.shape[0]
     if not upsample_conv_folds((d, h, wd), cout):
-        return conv3d(upsample_nearest3d(x), w, b)
+        return conv3d(upsample_nearest3d(x), w)
     flat, taps, grid, slices = _flat_phases(x.data, 3, 1)
     gh, gw = grid[1:]
     n = slices[0].shape[1]
@@ -227,10 +230,8 @@ def upsample_conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                    dtype=np.result_type(x.data, w.data))
     _tap_products(wmats, slices, [acc[pa, pb, pc, :, :n]
                                   for (_, pa), (_, pb), (_, pc) in uses])
-    out = np.empty((cout, d, 2, h, 2, wd, 2), dtype=acc.dtype)
-    np.add(acc.reshape(2, 2, 2, cout, d, gh, gw)[..., :h, :wd]
-           .transpose(3, 4, 0, 5, 1, 6, 2),
-           b.data.reshape(cout, 1, 1, 1, 1, 1, 1), out=out)
+    out = acc.reshape(2, 2, 2, cout, d, gh, gw)[..., :h, :wd] \
+        .transpose(3, 4, 0, 5, 1, 6, 2).reshape(cout, 2 * d, 2 * h, 2 * wd)
 
     def bwd(g):
         gacc = np.zeros((2, 2, 2, cout, d, gh, gw), dtype=g.dtype)
@@ -246,10 +247,9 @@ def upsample_conv3d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             gwf[ja, jb, jc] = gwm.reshape(gwf[ja, jb, jc].shape)
         gk = _fold3(gwf, _FOLD.T).reshape(3, 3, 3, cout, cin)
         return (_unflat_phases(gflat, x.shape, grid, 3, 1),
-                gk.transpose(3, 4, 0, 1, 2), g.sum(axis=(1, 2, 3)))
+                gk.transpose(3, 4, 0, 1, 2))
 
-    return Tensor._make(out.reshape(cout, 2 * d, 2 * h, 2 * wd), (x, w, b),
-                        bwd, "upsample_conv3d")
+    return Tensor._make(out, (x, w), bwd, "upsample_conv3d")
 
 
 def dwconv1d_causal(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

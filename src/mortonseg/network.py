@@ -12,9 +12,9 @@ upsampled 2x nearest-neighbor, as one op that folds the upsample into the
 kernel (`upsample_conv3d`). The head is a 1x1x1 conv initialized to zero
 so an untrained model predicts the uniform distribution everywhere.
 
-Every convolution is a ConvBlock: a conv3d and its epilogue, instance
-norm, affine and ReLU, which is one tape op (`instance_norm`) whose
-backward recomputes the normalized input instead of storing it.
+A ConvBlock is a conv3d without bias (the norm cancels one) and its
+epilogue, instance norm, affine and ReLU: one tape op (`instance_norm`)
+whose backward recomputes the normalized input instead of storing it.
 
 All learnable arrays live in named Tensors; `state_dict` collects them
 (plus codebook EMA state) for checkpointing.
@@ -146,25 +146,24 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 class ConvBlock:
-    """3x3x3 conv3d (pad 1) -> instance_norm (norm, affine and relu)."""
+    """3x3x3 conv3d (pad 1, no bias) -> instance_norm (norm, affine, relu)."""
 
     def __init__(self, rng: np.random.Generator, cin: int, cout: int):
         std = (2.0 / (cin * 27)) ** 0.5
         self.w = Tensor(rng.normal(0.0, std, size=(cout, cin, 3, 3, 3)),
                         requires_grad=True)
-        self.b = Tensor(np.zeros(cout), requires_grad=True)
         self.gamma = Tensor(np.ones(cout), requires_grad=True)
         self.beta = Tensor(np.zeros(cout), requires_grad=True)
 
     def __call__(self, x: Tensor, stride: int = 1) -> Tensor:
-        return instance_norm(conv3d(x, self.w, self.b, stride),
+        return instance_norm(conv3d(x, self.w, stride=stride),
                              self.gamma, self.beta)
 
     def upsampled(self, x: Tensor) -> Tensor:
         """The block on upsample_nearest3d(x), the upsample folded into
         the conv (`upsample_conv3d`)."""
-        return instance_norm(upsample_conv3d(x, self.w, self.b),
-                             self.gamma, self.beta)
+        return instance_norm(upsample_conv3d(x, self.w), self.gamma,
+                             self.beta)
 
 
 @dataclass
@@ -245,7 +244,8 @@ class Model:
 
     def load_state_dict(self, entries: dict) -> None:
         """Copy a state in. Every slot is checked before any is assigned,
-        so a state that does not fit leaves the model unchanged."""
+        so a state that does not fit leaves the model unchanged. Entries
+        with no slot (`opt.*`, older ConvBlocks' `*.b`) are ignored."""
         slots = self._state_slots()
         for k, (owner, attr) in slots.items():
             if k not in entries:

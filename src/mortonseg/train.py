@@ -5,7 +5,8 @@ and augmentation coins) from the stream (seed, 1, i). No generator state
 survives between steps, so a run resumed from a step-k checkpoint
 replays steps k, k+1, ... with exactly the arrays an uninterrupted run
 would have seen: resume is bit-identical by construction, not by
-serializing RNG internals.
+serializing RNG internals. A training state keys the AdamW moments by
+parameter name, so a state keyed otherwise is refused, not misread.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class AdamW:
 
     # -- checkpoint plumbing ------------------------------------------------
 
-    def state_entries(self) -> dict:
-        """Step count and moments by checkpoint name.
+    def state_entries(self, names: list) -> dict:
+        """Step count and moments, keyed by the parameters' names.
 
         The moment arrays are the live ones, not copies: they are valid
         until the next `step()`, which overwrites them in place. Copying
@@ -100,21 +101,19 @@ class AdamW:
         written.
         """
         out = {"opt.t": np.array([float(self.t)], dtype=np.float32)}
-        for i in range(len(self.params)):
-            out[f"opt.m.{i:04d}"] = self.m[i]
-            out[f"opt.v.{i:04d}"] = self.v[i]
+        for name, m, v in zip(names, self.m, self.v, strict=True):
+            out[f"opt.m.{name}"], out[f"opt.v.{name}"] = m, v
         return out
 
-    def load_state_entries(self, entries: dict) -> None:
+    def load_state_entries(self, entries: dict, names: list) -> None:
         """Take copies of saved moments; on error the state is unchanged."""
         t = int(round(float(entries["opt.t"][0])))
         ms, vs = [], []
-        for i, p in enumerate(self.params):
-            m = entries[f"opt.m.{i:04d}"]
-            v = entries[f"opt.v.{i:04d}"]
+        for name, p in zip(names, self.params, strict=True):
+            m, v = entries[f"opt.m.{name}"], entries[f"opt.v.{name}"]
             if m.shape != p.data.shape or v.shape != p.data.shape:
-                raise ValueError(f"optimizer state {i} does not match its "
-                                 "parameter shape")
+                raise ValueError(f"optimizer state for '{name}' does not "
+                                 "match its parameter shape")
             ms.append(np.array(m, dtype=p.data.dtype))
             vs.append(np.array(v, dtype=p.data.dtype))
         self.t, self.m, self.v = t, ms, vs
@@ -204,7 +203,7 @@ def train(model: Model, cases: list, steps: int, lr: float = 1e-4,
 
 def training_state(model: Model, opt: AdamW, step: int) -> dict:
     entries = model.state_dict()
-    entries.update(opt.state_entries())
+    entries.update(opt.state_entries(list(model.named_parameters())))
     entries["train.step"] = np.array([float(step)], dtype=np.float32)
     return entries
 
@@ -212,11 +211,12 @@ def training_state(model: Model, opt: AdamW, step: int) -> dict:
 def load_training_state(model: Model, entries: dict,
                         lr: float, weight_decay: float) -> tuple[AdamW, int]:
     model.load_state_dict(entries)
+    names = list(model.named_parameters())
     opt = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
-    missing = [k for k in [*opt.state_entries(), "train.step"]
+    missing = [k for k in [*opt.state_entries(names), "train.step"]
                if k not in entries]
-    if missing:  # a model-only checkpoint
+    if missing:  # a model-only checkpoint, or moments keyed by position
         raise KeyError(f"checkpoint is missing {len(missing)} "
                        f"training-state entries, first '{missing[0]}'")
-    opt.load_state_entries(entries)
+    opt.load_state_entries(entries, names)
     return opt, int(round(float(entries["train.step"][0])))

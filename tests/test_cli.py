@@ -16,7 +16,7 @@ from mortonseg.analysis import EvalRecord, read_eval_csv, write_eval_csv
 from mortonseg.checkpoint import load_checkpoint, save_checkpoint
 from mortonseg.cli import main
 from mortonseg.folds import load_folds
-from mortonseg.network import RETIRED_CONFIG_KEYS
+from mortonseg.network import RETIRED_CONFIG_KEYS, Model, desk_config
 from mortonseg.phantom import load_dataset
 
 
@@ -161,6 +161,49 @@ def test_train_resume_of_model_only_checkpoint_names_file_and_entry(
     assert err.startswith(f"error: {model_only}: "), err
     assert "'opt.t'" in err
     assert not (tmp_path / "out" / "checkpoint.mseg").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "missing"],
+    ["eval", "--data", "missing", "--checkpoint", "missing.mseg"],
+    ["analyze", "--eval", "missing.csv"]])
+def test_missing_out_is_reported_before_the_inputs(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: this command requires --out\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["phantoms", "--n", "0"],
+    ["folds", "--data", "{tmp}/missing"],
+    ["analyze", "--eval", "{tmp}/missing.csv"],
+    ["bench", "--resolutions", "17"]])
+def test_refused_run_leaves_no_out_directory(argv, tmp_path):
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv + ["--out", str(out)]) != 0
+    assert not out.exists()
+
+
+def test_train_resume_of_positional_moments_names_file_and_entry(
+        tmp_path, dataset, trained, capsys):
+    # moments keyed by position, as training states were before they were
+    # keyed by parameter name, are refused rather than matched by index
+    entries = load_checkpoint(trained / "checkpoint.mseg")
+    names = list(Model(desk_config()).named_parameters())
+    for i, name in enumerate(names):
+        for kind in "mv":
+            entries[f"opt.{kind}.{i:04d}"] = entries.pop(f"opt.{kind}.{name}")
+    positional = tmp_path / "positional.mseg"
+    save_checkpoint(positional, entries)
+    rc = main(["train", "--data", str(dataset), "--steps", "1",
+               "--resume", str(positional), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {positional}: checkpoint is missing {2 * len(names)} "
+        "training-state entries, first 'opt.m.enc1a.w'"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_of_checkpoint_missing_an_entry_names_file_and_entry(
@@ -174,6 +217,7 @@ def test_eval_of_checkpoint_missing_an_entry_names_file_and_entry(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {partial}: checkpoint is missing "
                           "'head.b'"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_validates_flags(work, dataset):

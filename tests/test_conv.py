@@ -158,6 +158,26 @@ def test_conv3d_gradients(stride, spatial, cout):
     assert res.passed, res
 
 
+@pytest.mark.parametrize("stride,spatial,cout",
+                         gemm_form_cases([(1,), (2,)], (3, 4, 3), 2))
+def test_conv3d_without_bias_is_the_zero_bias_conv(stride, spatial, cout):
+    # no bias parent and no bias reduction; the rest as with a zero bias
+    rng = np.random.default_rng(12 + stride)
+    x = rng.standard_normal((2, *spatial))
+    w = rng.standard_normal((cout, 2, 3, 3, 3))
+    g = rng.standard_normal((cout,) + tuple(
+        conv_out_extent(e, stride) for e in spatial))
+    results = []
+    for b in (None, leaf(np.zeros(cout))):
+        xt, wt = leaf(x), leaf(w)
+        y = conv3d(xt, wt, b, stride)
+        assert y._parents == ((xt, wt) if b is None else (xt, wt, b))
+        y.backward(g)
+        results.append((y.data, xt.grad, wt.grad))
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
+
+
 def closure_arrays(fn):
     """Base buffers of the arrays a backward closure keeps alive."""
     for cell in fn.__closure__ or ():
@@ -297,17 +317,16 @@ def test_upsample_gradients():
     ((3, 5, 2, 3), 4, True), ((2, 1, 3, 2), 3, True), ((2, 4, 4, 4), 5, True),
     ((3, 1, 2, 1), 8, False), ((2, 2, 2, 2), 24, False)])
 def test_upsample_conv3d_matches_upsample_then_conv(shape, cout, folded):
-    # output and all three gradients against conv3d(upsample_nearest3d(x))
+    # output and both gradients against conv3d(upsample_nearest3d(x), w)
     assert upsample_conv_folds(shape[1:], cout) == folded
     rng = np.random.default_rng(30 + cout)
     x = rng.standard_normal(shape)
     w = rng.standard_normal((cout, shape[0], 3, 3, 3))
-    b = rng.standard_normal(cout)
     g = rng.standard_normal((cout,) + tuple(2 * e for e in shape[1:]))
     results, ops = [], []
     for fn in (upsample_conv3d,
-               lambda x, w, b: conv3d(upsample_nearest3d(x), w, b)):
-        ts = [leaf(a) for a in (x, w, b)]
+               lambda x, w: conv3d(upsample_nearest3d(x), w)):
+        ts = [leaf(a) for a in (x, w)]
         y = fn(*ts)
         y.backward(g)
         results.append([y.data] + [t.grad for t in ts])
@@ -323,8 +342,8 @@ def test_upsample_conv3d_records_one_op_when_folded():
     rng = np.random.default_rng(40)
     x = leaf(rng.standard_normal((3, 4, 5, 3)))
     w = leaf(rng.standard_normal((2, 3, 3, 3, 3)))
-    y = upsample_conv3d(x, w, leaf(np.zeros(2)))
-    assert y.op == "upsample_conv3d" and y._parents[0] is x
+    y = upsample_conv3d(x, w)
+    assert y.op == "upsample_conv3d" and y._parents == (x, w)
     # the tape keeps the padded low-res input, not the 8x upsampled grid
     held = [a for a in closure_arrays(y._backward_fn) if a is not x.data]
     assert max(a.size for a in held) < 8 * x.size
@@ -334,8 +353,6 @@ def test_upsample_conv3d_rejects_bad_shapes():
     rng = np.random.default_rng(41)
     x = leaf(rng.standard_normal((2, 3, 3, 3)))
     with pytest.raises(ValueError):
-        upsample_conv3d(x, leaf(rng.standard_normal((3, 2, 1, 1, 1))),
-                        leaf(np.zeros(3)))
+        upsample_conv3d(x, leaf(rng.standard_normal((3, 2, 1, 1, 1))))
     with pytest.raises(ValueError):
-        upsample_conv3d(x, leaf(rng.standard_normal((3, 1, 3, 3, 3))),
-                        leaf(np.zeros(3)))
+        upsample_conv3d(x, leaf(rng.standard_normal((3, 1, 3, 3, 3))))

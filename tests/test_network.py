@@ -8,12 +8,14 @@ degenerate case and full coverage in the tiled case.
 
 import functools
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mortonseg import conv, gradcheck, phantom
 from mortonseg import tensor as T
+from mortonseg.checkpoint import load_checkpoint
 from mortonseg.checksuite import suite
 from mortonseg.morton import build_permutation
 from mortonseg.network import (
@@ -35,9 +37,11 @@ from mortonseg.tensor import Tensor
 from mortonseg.train import AdamW
 from mortonseg.vq import make_codebook, quantize
 
-FULL_PARAMS = 26_522_644       # includes the codebook table
-FULL_PARAMS_NO_CB = 26_260_500
-DESK_PARAMS = 1_658_504
+# the counts with the conv biases, less their sum(C_out) over the 27
+# ConvBlocks: 3,504 at full width, 876 at desk width
+FULL_PARAMS = 26_522_644 - 3_504       # includes the codebook table
+FULL_PARAMS_NO_CB = 26_260_500 - 3_504
+DESK_PARAMS = 1_658_504 - 876
 
 
 def tiny_config(**overrides):
@@ -114,6 +118,21 @@ def test_full_scale_param_count_pinned():
 def test_desk_param_count_pinned():
     m = Model(desk_config(), seed=0)
     assert m.param_count() == DESK_PARAMS == shape_oracle_count(m)
+
+
+def test_checkpoint_with_conv_biases_loads():
+    # the benchmark's eval_window scores this desk checkpoint, which holds
+    # the 27 ConvBlock biases older models had; the loader ignores them,
+    # as it ignores every entry with no slot
+    entries = load_checkpoint(Path(__file__).parents[1] / "perfbench" /
+                              "data" / "eval_desk.mseg")
+    m = Model(desk_config(), seed=0)
+    m.load_state_dict(entries)
+    assert set(entries) - set(m.state_dict()) == {
+        n.replace(".gamma", ".b") for n in m.named_parameters()
+        if n.endswith(".gamma")}
+    for k, v in m.state_dict().items():
+        np.testing.assert_array_equal(v, entries[k], err_msg=k)
 
 
 def test_param_names_unique_and_complete():
@@ -205,6 +224,35 @@ def test_instance_norm_backward_holds_only_per_channel_arrays():
     assert any(h is x.data for h in big) and any(h is y.data for h in big)
 
 
+@pytest.mark.parametrize("conv_fn", [
+    pytest.param(lambda x, w, b: conv.conv3d(x, w, b, 1), id="stride1"),
+    pytest.param(lambda x, w, b: conv.conv3d(x, w, b, 2), id="stride2"),
+    pytest.param(
+        lambda x, w, b: conv.conv3d(conv.upsample_nearest3d(x), w, b),
+        id="upsampled")])
+def test_instance_norm_cancels_a_conv_bias(conv_fn):
+    # the norm subtracts each channel's mean, so a per-channel bias before
+    # it changes nothing and its gradient is zero, up to f64 rounding
+    rng = np.random.default_rng(16)
+    arrays = (rng.standard_normal((3, 4, 5, 6)),
+              rng.standard_normal((4, 3, 3, 3, 3)),
+              rng.uniform(0.5, 1.5, 4), rng.standard_normal(4))
+    b = Tensor(3 * rng.standard_normal(4), requires_grad=True,
+               dtype=np.float64)
+    results = []
+    for bias in (b, None):
+        x, w, gamma, beta = (Tensor(a, requires_grad=True, dtype=np.float64)
+                             for a in arrays)
+        y = instance_norm(conv_fn(x, w, bias), gamma, beta)
+        y.backward(gradcheck.cotangent(y))
+        results.append([y.data] + [t.grad for t in (x, w, gamma, beta)])
+    assert (results[1][0] == 0).any() and (results[1][0] > 0).any()
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+    assert np.abs(b.grad).max() < 1e-12
+
+
 # ---------------------------------------------------------------- tape
 
 def recorded_ops(fn) -> list:
@@ -224,6 +272,26 @@ def test_conv_block_records_two_ops():
     m = Model(tiny_config(), seed=0)
     x = Tensor(np.random.default_rng(2).standard_normal((4, 4, 4, 4)))
     assert recorded_ops(lambda: m.enc[0][0](x)) == ["conv3d", "instance_norm"]
+
+
+def test_no_conv_feeding_an_instance_norm_has_a_bias():
+    m = Model(desk_config(), seed=0)
+    logits = m.forward(
+        np.random.default_rng(11).standard_normal((4, 32, 32, 32))).logits
+    norms, seen, stack = [], set(), [logits]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.op == "instance_norm":
+                norms.append(node)
+            stack.extend(node._parents)
+    assert len(norms) == 27
+    for norm in norms:
+        conv_op = norm._parents[0]
+        assert conv_op.op in ("conv3d", "upsample_conv3d")
+        assert [p.ndim for p in conv_op._parents] == [4, 5]  # (x, w)
+    assert logits.op == "conv3d" and len(logits._parents) == 3  # head bias
 
 
 def test_upsampling_proj_records_the_fused_conv():

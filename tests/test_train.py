@@ -155,10 +155,11 @@ def test_adamw_state_roundtrip_resumes_identically():
     for g in grads[:4]:
         p2.grad = g.astype(np.float32)
         opt2.step()
-    saved = opt2.state_entries()
+    saved = opt2.state_entries(["p"])
+    assert sorted(saved) == ["opt.m.p", "opt.t", "opt.v.p"]
     p3 = Tensor(p2.data.copy(), dtype=np.float32, requires_grad=True)
     opt3 = AdamW([p3], lr=0.02, weight_decay=0.05)
-    opt3.load_state_entries(saved)
+    opt3.load_state_entries(saved, ["p"])
     assert opt3.t == 4
     for g in grads[4:]:
         p3.grad = g.astype(np.float32)
@@ -174,7 +175,7 @@ def test_adamw_loaded_moments_are_copies():
     m2, v2 = opt2.m[0].copy(), opt2.v[0].copy()
     p3 = Tensor(p2.data.copy(), dtype=np.float32, requires_grad=True)
     opt3 = AdamW([p3], lr=0.02)
-    opt3.load_state_entries(opt2.state_entries())
+    opt3.load_state_entries(opt2.state_entries(["p"]), ["p"])
     p3.grad = np.full(6, -2.0, dtype=np.float32)
     opt3.step()
     np.testing.assert_array_equal(opt2.m[0], m2)
@@ -193,11 +194,11 @@ def test_loaded_model_owns_its_arrays():
 def test_adamw_load_rejects_shape_mismatch():
     p = Tensor(np.ones(3), dtype=np.float32, requires_grad=True)
     opt = AdamW([p])
-    bad = opt.state_entries()
+    bad = opt.state_entries(["p"])
     bad["opt.t"] = np.array([3.0], dtype=np.float32)
-    bad["opt.m.0000"] = np.zeros(5, dtype=np.float32)
-    with pytest.raises(ValueError):
-        opt.load_state_entries(bad)
+    bad["opt.m.p"] = np.zeros(5, dtype=np.float32)
+    with pytest.raises(ValueError, match="'p'"):
+        opt.load_state_entries(bad, ["p"])
     assert opt.t == 0  # a failed load changes nothing
 
 
