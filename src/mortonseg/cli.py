@@ -32,8 +32,9 @@ from .gradcheck import Sabotage
 from .metrics import CSV_HEADER, evaluate_case, report_rows
 from .network import (Model, NetConfig, desk_config, full_config,
                       sliding_window_infer)
-from .phantom import (compute_region_volumes, generate_phantom, load_dataset,
-                      normalize_modalities, read_meta, save_case)
+from .phantom import (RejectedDraw, check_shape, compute_region_volumes,
+                      generate_phantom, load_dataset, normalize_modalities,
+                      read_meta, save_case)
 from .rng import make_rng
 from .tensor import NumericalError
 from .train import load_training_state, train, training_state
@@ -148,7 +149,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_phantoms(args) -> int:
-    shape = _parse_triple(args.shape, "--shape")
+    shape = check_shape(_parse_triple(args.shape, "--shape"))
     lo, hi = _parse_range(args.et_range, "--et-range")
     if args.n < 1:
         raise ValueError("--n must be >= 1")
@@ -167,7 +168,7 @@ def cmd_phantoms(args) -> int:
                                         et_volume_target=target,
                                         case_id=f"case_{i:03d}")
                 break
-            except ValueError:
+            except RejectedDraw:  # another seed may fit
                 continue
         if case is None:
             raise ValueError(f"could not realize a case with |ET|~{target} "

@@ -63,7 +63,9 @@ class FoldAssignment:
         if not (isinstance(edges, list) and len(edges) == N_FOLDS + 1
                 and all(type(e) in (int, float) for e in edges)):
             raise ValueError(f"'bin_edges' must hold {N_FOLDS + 1} numbers")
-        return cls(version=d["version"], seed=int(d["seed"]),
+        if type(d["seed"]) is not int:
+            raise ValueError(f"'seed' must be an integer, got {d['seed']!r}")
+        return cls(version=d["version"], seed=d["seed"],
                    bin_edges=[float(x) for x in edges],
                    assignment=d["assignment"], bins=d["bins"])
 

@@ -276,16 +276,6 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def _quantize_map(self, feat: Tensor):
-        """VQ a (C, X, Y, Z) map voxel-wise; returns (map, commit, batch)."""
-        c = feat.shape[0]
-        spatial = feat.shape[1:]
-        tokens = T.transpose(T.reshape(feat, (c, int(np.prod(spatial)))), (1, 0))
-        res = quantize(tokens, self.codebook)
-        qmap = T.reshape(T.transpose(res.quantized, (1, 0)), (c,) + spatial)
-        batch = (tokens.data.copy(), res.indices)
-        return qmap, res.commit_loss, batch
-
     def forward(self, x) -> ForwardResult:
         if not isinstance(x, Tensor):
             x = Tensor(x)
@@ -308,7 +298,9 @@ class Model:
 
         commit = vq_batch = None
         if self.codebook is not None:
-            bot, commit, vq_batch = self._quantize_map(bot)
+            res = quantize(bot, self.codebook)
+            bot, commit = res.quantized, res.commit_loss
+            vq_batch = (res.tokens, res.indices)
 
         skips = [e1, e2, e3, skip4, e5]
         h = bot

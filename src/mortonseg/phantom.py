@@ -37,6 +37,10 @@ BACKGROUND_NOISE = 0.06   # healthy-tissue noise, fixed across cases
 TAU_RANGE = (0.15, 3.5)   # log-uniform heterogeneity range
 
 
+class RejectedDraw(ValueError):
+    """This seed's geometry cannot realize the request; another seed may."""
+
+
 @dataclass
 class CaseStats:
     fiv: float
@@ -99,17 +103,24 @@ def _ellipsoid_rho(shape, center, axis_scale) -> np.ndarray:
     return np.sqrt(acc)
 
 
+def check_shape(shape) -> tuple:
+    """shape as a tuple of ints; refused below 16 voxels on any axis."""
+    shape = tuple(int(s) for s in shape)
+    if min(shape) < 16:
+        raise ValueError(f"shape must be at least 16 voxels per axis, got {shape}")
+    return shape
+
+
 def generate_phantom(seed: int, shape=(32, 32, 32), et_volume_target: int = 150,
                      heterogeneity: float | None = None,
                      case_id: str | None = None) -> CaseRecord:
     """Deterministic synthetic case; |ET| within 20% of the target.
 
     heterogeneity overrides the per-seed draw of tau; target 0 produces
-    a rim-free tumor (whole tumor = edema + core).
+    a rim-free tumor (whole tumor = edema + core). A seed whose geometry
+    cannot realize the request raises RejectedDraw.
     """
-    shape = tuple(int(s) for s in shape)
-    if min(shape) < 16:
-        raise ValueError("shape must be at least 16 voxels per axis")
+    shape = check_shape(shape)
     if et_volume_target < 0:
         raise ValueError("et_volume_target must be >= 0")
     rng = make_rng(seed, _CASE_STREAM)
@@ -149,14 +160,14 @@ def generate_phantom(seed: int, shape=(32, 32, 32), et_volume_target: int = 150,
     achieved = int(rim.sum())
     if et_volume_target > 0 and not (0.8 * et_volume_target <= achieved
                                      <= 1.2 * et_volume_target):
-        raise ValueError(
+        raise RejectedDraw(
             f"cannot realize |ET|={et_volume_target} on shape {shape}: "
             f"closest discrete count is {achieved}")
 
     shell_t = rng.uniform(2.0, 3.2)
     r_shell = r_rim + shell_t
     if r_shell >= 0.9 * brain_r:
-        raise ValueError(
+        raise RejectedDraw(
             f"tumor (outer radius {r_shell:.1f}) does not fit the brain "
             f"(radius {brain_r:.1f}) on shape {shape}")
     shell = (rho > r_rim) & (rho <= r_shell)

@@ -78,10 +78,8 @@ class SsmParams:
         return list(T.named_tensors(self).values())
 
 
-def init_ssm_params(rng: np.random.Generator, e: int, n: int,
-                    dtype=None) -> SsmParams:
-    dtype = dtype or T.get_default_dtype()
-    mk = lambda a: Tensor(a, requires_grad=True, dtype=dtype)
+def init_ssm_params(rng: np.random.Generator, e: int, n: int) -> SsmParams:
+    mk = lambda a: Tensor(a, requires_grad=True)
     # S4D-real initialization: per channel, state k decays at rate k+1
     a_log = np.tile(np.log(np.arange(1, n + 1, dtype=np.float64)), (e, 1))
     scale = e ** -0.5

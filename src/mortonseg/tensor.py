@@ -267,23 +267,6 @@ def silu(a: Tensor) -> Tensor:
 # -- shape ops --------------------------------------------------------------
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    old = a.shape
-    return Tensor._make(
-        a.data.reshape(shape), (a,), lambda g: (g.reshape(old),), "reshape")
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return Tensor._make(
-        a.data.transpose(axes), (a,),
-        lambda g: (np.ascontiguousarray(g.transpose(inv)),), "transpose")
-
-
 def flip(a: Tensor, axis: int = 0) -> Tensor:
     return Tensor._make(
         np.flip(a.data, axis=axis).copy(), (a,),

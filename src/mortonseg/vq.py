@@ -1,12 +1,14 @@
 """EMA vector quantization with straight-through gradients.
 
-Feature rows are snapped to their nearest codebook entry (squared
-Euclidean distance, ties to the lowest index). The codebook is not
-trained by gradient descent: assignment counts and assigned-feature sums
-are tracked as exponential moving averages and each entry is re-estimated
-as a Laplace-smoothed mean, so empty clusters stay finite. The encoder
-side is trained by the commitment term plus the straight-through
-estimator, whose backward treats the quantizer as identity.
+``quantize`` reads a channels-first (D, *spatial) map, the layout of
+every other layer, as one token per voxel and snaps each token to its
+nearest codebook entry (squared Euclidean distance, ties to the lowest
+index). The codebook is not trained by gradient descent: assignment
+counts and assigned-feature sums are tracked as exponential moving
+averages and each entry is re-estimated as a Laplace-smoothed mean, so
+empty clusters stay finite. The encoder side is trained by the
+commitment term plus the straight-through estimator, whose backward
+treats the quantizer as identity.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ class Codebook:
         return self.embeddings.shape[1]
 
 
-def make_codebook(rng: np.random.Generator, k: int, d: int,
-                  dtype=None) -> Codebook:
+def make_codebook(rng: np.random.Generator, k: int, d: int) -> Codebook:
     if k < 1 or d < 1:
         raise ValueError("codebook needs k >= 1 entries of dim d >= 1")
-    dtype = dtype or T.get_default_dtype()
+    dtype = T.get_default_dtype()
     emb = rng.normal(0.0, 0.02, size=(k, d)).astype(dtype)
     return Codebook(embeddings=emb, ema_cluster_size=np.ones(k, dtype=dtype),
                     ema_embed_sum=emb.copy())
@@ -88,33 +89,39 @@ def nearest_indices(y: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QuantizeResult:
-    quantized: Tensor      # (M, D), values = codebook rows, STE backward
-    indices: np.ndarray    # (M,)
+    quantized: Tensor      # the input's (D, *spatial) shape, STE backward
+    indices: np.ndarray    # (M,), one per voxel in row-major order
     commit_loss: Tensor    # scalar, pulls the encoder toward its codes
+    tokens: np.ndarray     # (M, D) voxel rows, the EMA step's batch
 
 
-def quantize(y: Tensor, cb: Codebook) -> QuantizeResult:
-    """Snap each row of y to its nearest codebook entry.
+def quantize(feat: Tensor, cb: Codebook) -> QuantizeResult:
+    """Snap each voxel's D-vector of feat (D, *spatial) to its nearest entry.
 
-    The returned tensor carries the quantized values forward and passes
+    The returned map carries the quantized values forward and passes
     gradients through unchanged (straight-through); commit_loss, the mean
-    squared distance mean_m ||y_m - q_m||^2 to the (detached) chosen
-    entries q, is one op whose backward is g_y = 2 g (y - q) / M.
+    squared distance mean_m ||y_m - q_m||^2 of the voxel rows y to the
+    (detached) chosen entries q, is one op whose backward is
+    g_y = 2 g (y - q) / M.
     """
     if cb.k < 1:
         raise ValueError("empty codebook")
-    if y.ndim != 2 or y.shape[1] != cb.d:
-        raise ValueError(f"expected (M, {cb.d}) features, got {y.shape}")
-    idx = nearest_indices(y.data, cb.embeddings)
-    q = cb.embeddings[idx].astype(y.data.dtype)
+    if feat.ndim < 2 or feat.shape[0] != cb.d:
+        raise ValueError(f"expected a ({cb.d}, *spatial) map, got {feat.shape}")
+    y = np.ascontiguousarray(feat.data.reshape(cb.d, -1).T)
+    idx = nearest_indices(y, cb.embeddings)
+    q = cb.embeddings[idx].astype(y.dtype)
 
     # identity Jacobian: the quantizer is invisible to the backward pass
-    q_ste = Tensor._make(q, (y,), lambda g: (g,), "vq_ste")
-    diff = y.data - q
-    commit = Tensor._make((diff * diff).sum(axis=1).mean(), (y,),
-                          lambda g: (diff * (2.0 * g / len(diff)),),
-                          "vq_commit")
-    return QuantizeResult(quantized=q_ste, indices=idx, commit_loss=commit)
+    q_ste = Tensor._make(q.T.reshape(feat.shape), (feat,), lambda g: (g,),
+                         "vq_ste")
+    diff = y - q
+    commit = Tensor._make(
+        (diff * diff).sum(axis=1).mean(), (feat,),
+        lambda g: ((diff * (2.0 * g / len(diff))).T.reshape(feat.shape),),
+        "vq_commit")
+    return QuantizeResult(quantized=q_ste, indices=idx, commit_loss=commit,
+                          tokens=y)
 
 
 def ema_update(cb: Codebook, y: np.ndarray, indices: np.ndarray) -> Codebook:
@@ -153,9 +160,9 @@ def straight_through_check(y_values: np.ndarray, downstream,
                            cb: Codebook) -> SteReport:
     """Verify the quantizer's backward is exactly identity.
 
-    Runs downstream(quantize(y)) and downstream(leaf holding the same
-    quantized values), each seeded with the gradient checks' cotangent;
-    the gradients reaching y and the leaf must match bit for bit.
+    Runs downstream(quantize(y)) for a map y and downstream(leaf holding
+    the same quantized values), each seeded with the gradient checks'
+    cotangent; the gradients reaching y and the leaf must match bit for bit.
     """
     y = Tensor(y_values, requires_grad=True, dtype=np.asarray(y_values).dtype)
     res = quantize(y, cb)

@@ -138,7 +138,8 @@ def test_04_reverse_scan_equals_flip_scan_flip_bit_exact():
         ln = int(rng.integers(2, 48))
         e = int(rng.integers(1, 7))
         n = int(rng.integers(1, 6))
-        p = init_ssm_params(rng, e, n, dtype=np.float64).scan
+        with T.default_dtype(np.float64):
+            p = init_ssm_params(rng, e, n).scan
         seq = Tensor(rng.normal(0.0, 1.0, size=(ln, e)), dtype=np.float64)
         rev = selective_scan(seq, p, "reverse")
         flipped = T.flip(
@@ -183,16 +184,18 @@ def test_06_vq_assignment_ste_and_ema_recovery():
                                        np.argmin(d2, axis=1))
 
     # straight-through backward must equal the identity bypass bit for bit
-    cb = make_codebook(make_rng(6, 1), k=5, d=4, dtype=np.float64)
-
-    ste = straight_through_check(rng.normal(0.0, 1.0, size=(12, 4)),
+    # twelve 4-d tokens as a (D, M) map
+    with T.default_dtype(np.float64):
+        cb = make_codebook(make_rng(6, 1), k=5, d=4)
+    ste = straight_through_check(rng.normal(0.0, 1.0, size=(12, 4)).T,
                                  T.silu, cb)
 
     # EMA pulls a seeded codebook onto 3 synthetic cluster centers
     centers = np.array([[2.0, 0.0, 0.0, -2.0],
                         [-2.0, 2.0, 0.0, 0.0],
                         [0.0, -2.0, 2.0, 2.0]])
-    cb3 = make_codebook(make_rng(6, 2), k=3, d=4, dtype=np.float64)
+    with T.default_dtype(np.float64):
+        cb3 = make_codebook(make_rng(6, 2), k=3, d=4)
     draw = make_rng(6, 3)
 
     def batch():

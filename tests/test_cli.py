@@ -173,16 +173,25 @@ def test_missing_out_is_reported_before_the_inputs(argv, capsys):
     assert capsys.readouterr().err == "error: this command requires --out\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["phantoms", "--n", "0"],
-    ["folds", "--data", "{tmp}/missing"],
-    ["analyze", "--eval", "{tmp}/missing.csv"],
-    ["bench", "--resolutions", "17"]])
-def test_refused_run_leaves_no_out_directory(argv, tmp_path):
+REFUSED_RUNS = [
+    (["phantoms", "--n", "0"], "--n must be >= 1"),
+    (["folds", "--data", "{tmp}/missing"], "no cases under"),
+    (["analyze", "--eval", "{tmp}/missing.csv"], "No such file"),
+    (["bench", "--resolutions", "17"], "not divisible by 16"),
+    # phantom's own extent rule, checked once, not retried as a bad draw
+    (["phantoms", "--shape", "8"],
+     "shape must be at least 16 voxels per axis, got (8, 8, 8)")]
+
+
+# pinned test ids, so each case keeps its name as the list grows
+@pytest.mark.parametrize("argv, message", REFUSED_RUNS,
+                         ids=[f"argv{i}" for i in range(len(REFUSED_RUNS))])
+def test_refused_run_leaves_no_out_directory(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main(argv + ["--out", str(out)]) != 0
     assert not out.exists()
+    assert message in capsys.readouterr().err
 
 
 def test_train_resume_of_positional_moments_names_file_and_entry(

@@ -440,6 +440,10 @@ def malformed_folds(**change):
     pytest.param({k: v for k, v in malformed_folds().items() if k != "seed"},
                  "seed", id="no_seed"),
     pytest.param(malformed_folds(version="99"), "version", id="version_99"),
+    pytest.param(malformed_folds(seed=[1]), "seed", id="seed_list"),
+    pytest.param(malformed_folds(seed=1.5), "seed", id="seed_float"),
+    pytest.param(malformed_folds(seed="7"), "seed", id="seed_string"),
+    pytest.param(malformed_folds(seed=True), "seed", id="seed_bool"),
 ])
 def test_load_folds_rejects_malformed_file(tmp_path, doc, field):
     p = tmp_path / "folds.json"

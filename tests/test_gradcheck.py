@@ -56,9 +56,9 @@ def test_catches_sabotaged_op():
 
 
 def test_tensor_valued_fn_is_seeded_with_the_cosine_cotangent():
-    # f(x) = x reshaped has Jacobian I, so the gradient is the probe itself
+    # f(x) = x flipped twice has Jacobian I, so the gradient is the probe
     x = leaf(np.random.default_rng(5).standard_normal((2, 3)))
-    res = check_gradients(lambda t: T.reshape(t, (3, 2)), [x], "reshape")
+    res = check_gradients(lambda t: T.flip(T.flip(t, 1), 1), [x], "flip2")
     assert res.passed
     assert np.array_equal(x.grad, np.cos(np.arange(6.0)).reshape(2, 3))
     assert cotangent(T.Tensor(2.0)) == 1.0

@@ -324,9 +324,38 @@ def test_loss_and_commitment_are_one_op_each():
     assert recorded_ops(lambda: ce_dice_loss(logits, labels)) == [
         "ce_dice_loss"]
     cb = make_codebook(np.random.default_rng(6), 4, 3)
-    y = Tensor(np.random.default_rng(7).standard_normal((5, 3)),
+    y = Tensor(np.random.default_rng(7).standard_normal((5, 3)).T,
                requires_grad=True)
     assert recorded_ops(lambda: quantize(y, cb)) == ["vq_ste", "vq_commit"]
+
+
+def test_quantizer_reads_the_bottleneck_map_itself():
+    # no shape ops around VQ: both its ops take the bottleneck map, and
+    # the decoder's first conv takes the quantized map
+    m = Model(desk_config(), seed=0)
+    x = np.random.default_rng(11).standard_normal((4, 32, 32, 32))
+    built = []
+
+    def hook(op, out, parents, backward_fn):
+        built.append((op, out, parents))
+        return backward_fn
+
+    with T.op_hook(hook):
+        res = m.forward(x)
+    ops = [op for op, _, _ in built]
+    assert not {"reshape", "transpose"} & set(ops)
+    assert ops.count("vq_ste") == ops.count("vq_commit") == 1
+    at = ops.index("vq_ste")
+    bot = built[at - 1][1]  # the bottleneck scan block's residual add
+    c = m.cfg.channels[-1]
+    assert built[at - 1][0] == "add" and bot.shape == (c, 2, 2, 2)
+    assert built[at][2] == (bot,) and built[at + 1][2] == (bot,)
+    q = built[at][1]
+    assert q.shape == bot.shape and built[at + 2][2][0] is q
+    assert res.commit_loss is built[at + 1][1]
+    tokens, indices = res.vq_batch
+    assert np.array_equal(tokens, bot.data.reshape(c, -1).T)
+    assert indices.shape == (8,)
 
 
 def recorded_step_ops() -> set:

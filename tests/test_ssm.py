@@ -334,7 +334,8 @@ def test_scan_and_fusion_match_the_chains(dtype):
 def test_scan_and_fusion_refuse_mixed_dtypes():
     # the op never promotes silently; the caller converts explicitly
     rng = make_rng(56)
-    p32 = init_ssm_params(rng, 3, 2, dtype=np.float32).scan
+    with T.default_dtype(np.float32):
+        p32 = init_ssm_params(rng, 3, 2).scan
     with pytest.raises(TypeError):
         selective_scan(rand_seq(rng, 5, 3), p32)  # f64 sequence
     p32.d_skip = Tensor(p32.d_skip.data, dtype=np.float64)

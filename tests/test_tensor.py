@@ -60,8 +60,6 @@ def test_binary_op_gradients_on_random_shapes(name, op, box):
 
 @pytest.mark.parametrize("name,fn", [
     ("layer_norm", lambda x: T.layer_norm(x, axis=-1)),
-    ("reshape", lambda x: T.silu(T.reshape(x, (-1,)))),
-    ("transpose", lambda x: T.silu(T.transpose(x))),
     ("flip", lambda x: T.add(T.flip(x, axis=0), x)),
 ])
 def test_structured_op_gradients(name, fn):
@@ -189,8 +187,10 @@ def test_full_reduction_is_zero_dim():
     rng = make_rng(24)
     logits = leaf(rng, 4, 2, 3, 2)
     labels = np.arange(12).reshape(2, 3, 2) % 4
-    y = leaf(rng, 5, 3)
-    cb = make_codebook(rng, k=4, d=3, dtype=np.float64)
+    y = T.Tensor(rng.uniform(-2.0, 2.0, (5, 3)).T, requires_grad=True,
+                 dtype=np.float64)  # five 3-d tokens as a (D, M) map
+    with T.default_dtype(np.float64):
+        cb = make_codebook(rng, k=4, d=3)
     for out in (ce_dice_loss(logits, labels).total,
                 quantize(y, cb).commit_loss):
         assert out.shape == ()

@@ -24,8 +24,13 @@ def brute_force_nn(y: np.ndarray, emb: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def f64_codebook(rng, k, d) -> Codebook:
+    with T.default_dtype(np.float64):
+        return make_codebook(rng, k, d)
+
+
 def fresh_codebook(rng, k, d) -> Codebook:
-    cb = make_codebook(rng, k, d, dtype=np.float64)
+    cb = f64_codebook(rng, k, d)
     cb.initialized = True
     return cb
 
@@ -45,10 +50,10 @@ def test_two_entry_scalar_assignment():
 def test_exact_entry_is_fixed_point():
     rng = make_rng(62)
     cb = fresh_codebook(rng, 5, 3)
-    y = Tensor(cb.embeddings[3:4].copy(), dtype=np.float64)
+    y = Tensor(cb.embeddings[3:4].T, dtype=np.float64)
     res = quantize(y, cb)
     assert res.indices.tolist() == [3]
-    assert np.array_equal(res.quantized.data, cb.embeddings[3:4])
+    assert np.array_equal(res.quantized.data, cb.embeddings[3:4].T)
     assert float(res.commit_loss.data) == 0.0
 
 
@@ -79,7 +84,7 @@ def test_tie_goes_to_lowest_index():
 def test_quantize_rejects_bad_shapes():
     cb = fresh_codebook(make_rng(66), 3, 2)
     with pytest.raises(ValueError):
-        quantize(Tensor(np.zeros((4, 3))), cb)
+        quantize(Tensor(np.zeros((4, 3)).T), cb)
     with pytest.raises(ValueError):
         quantize(Tensor(np.zeros(4)), cb)
 
@@ -87,8 +92,8 @@ def test_quantize_rejects_bad_shapes():
 def test_commit_loss_nonnegative_and_zero_only_at_entries():
     rng = make_rng(67)
     cb = fresh_codebook(rng, 4, 2)
-    on = Tensor(cb.embeddings[[1, 3]].copy(), dtype=np.float64)
-    off = Tensor(cb.embeddings[[1, 3]] + 0.01, dtype=np.float64)
+    on = Tensor(cb.embeddings[[1, 3]].T, dtype=np.float64)
+    off = Tensor((cb.embeddings[[1, 3]] + 0.01).T, dtype=np.float64)
     assert float(quantize(on, cb).commit_loss.data) == 0.0
     assert float(quantize(off, cb).commit_loss.data) > 0.0
 
@@ -97,12 +102,57 @@ def test_commit_gradient_is_pull_toward_code():
     # d/dy mean ||y - sg(q)||^2 = 2 (y - q) / M, assignments frozen
     rng = make_rng(68)
     cb = fresh_codebook(rng, 3, 2)
-    y = Tensor(cb.embeddings[[0, 2]] + 0.003, requires_grad=True,
+    y = Tensor((cb.embeddings[[0, 2]] + 0.003).T, requires_grad=True,
                dtype=np.float64)
     res = quantize(y, cb)
     res.commit_loss.backward()
-    expect = 2.0 * (y.data - cb.embeddings[res.indices]) / 2.0
+    expect = 2.0 * (y.data - cb.embeddings[res.indices].T) / 2.0
     assert np.allclose(y.grad, expect, rtol=1e-12, atol=0)
+
+
+def token_path(feat, emb, g_map, g_commit):
+    """The rows-first path in numpy: reshape and transpose to (M, D)
+    token rows, quantize the rows, and transpose and reshape back; each
+    adjoint undoes its shape step. Returns the quantized map, indices,
+    commitment and the gradients reaching feat through each output."""
+    d = feat.shape[0]
+    rows = np.ascontiguousarray(feat.reshape(d, -1).T)
+    idx = nearest_indices(rows, emb)
+    q = emb[idx].astype(feat.dtype)
+    qmap = np.ascontiguousarray(q.T).reshape(feat.shape)
+    diff = rows - q
+    commit = (diff * diff).sum(axis=1).mean()
+
+    def to_map(g_rows):
+        return np.ascontiguousarray(g_rows.T).reshape(feat.shape)
+
+    g_ste = to_map(np.ascontiguousarray(g_map.reshape(d, -1).T))
+    g_cm = to_map(diff * (2.0 * g_commit / len(diff)))
+    return qmap, idx, commit, g_ste, g_cm
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_map_quantize_matches_the_token_path_bit_for_bit(dtype):
+    rng = make_rng(72)
+    with T.default_dtype(dtype):
+        cb = make_codebook(rng, 6, 5)
+    feat_np = rng.normal(0, 0.05, (5, 2, 3, 4)).astype(dtype)
+    g_map = rng.normal(0, 1, feat_np.shape).astype(dtype)
+    g_commit = dtype(0.7)
+    want = token_path(feat_np, cb.embeddings, g_map, g_commit)
+
+    feat = Tensor(feat_np, requires_grad=True, dtype=dtype)
+    res = quantize(feat, cb)
+    res.quantized.backward(g_map)
+    g_ste = feat.grad
+    feat.zero_grad()
+    res.commit_loss.backward(g_commit)
+    got = (res.quantized.data, res.indices, res.commit_loss.data, g_ste,
+           feat.grad)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert np.array_equal(res.tokens, feat_np.reshape(5, -1).T)
 
 
 # -- straight-through ---------------------------------------------------------
@@ -111,18 +161,18 @@ def test_commit_gradient_is_pull_toward_code():
 def test_ste_forward_emits_codebook_rows_exactly():
     rng = make_rng(69)
     cb = fresh_codebook(rng, 6, 3)
-    y = Tensor(rng.normal(0, 0.05, (10, 3)), dtype=np.float64)
+    y = Tensor(rng.normal(0, 0.05, (10, 3)).T, dtype=np.float64)
     res = quantize(y, cb)
-    assert np.array_equal(res.quantized.data, cb.embeddings[res.indices])
+    assert np.array_equal(res.quantized.data, cb.embeddings[res.indices].T)
 
 
 def test_ste_backward_is_identity_bit_exact():
     rng = make_rng(70)
     cb = fresh_codebook(rng, 5, 4)
-    y = Tensor(rng.normal(0, 0.05, (12, 4)), requires_grad=True,
+    y = Tensor(rng.normal(0, 0.05, (12, 4)).T, requires_grad=True,
                dtype=np.float64)
     res = quantize(y, cb)
-    seed = rng.normal(0, 1, (12, 4))
+    seed = rng.normal(0, 1, (12, 4)).T
     res.quantized.backward(seed)
     assert np.array_equal(y.grad, seed)
 
@@ -134,7 +184,8 @@ def test_straight_through_check_nontrivial_downstream():
     def downstream(q):  # q reaches the output twice, once flipped
         return T.add(T.silu(q), T.flip(q, 0))
 
-    rep = straight_through_check(rng.normal(0, 0.05, (9, 3)), downstream, cb)
+    rep = straight_through_check(rng.normal(0, 0.05, (9, 3)).T, downstream,
+                                 cb)
     assert rep.passed
     assert rep.max_abs_diff == 0.0
 
@@ -174,7 +225,7 @@ def test_ema_recovers_three_clusters():
     # true means in at most 200 updates
     rng = make_rng(75)
     means = np.eye(3)
-    cb = make_codebook(rng, 3, 3, dtype=np.float64)
+    cb = f64_codebook(rng, 3, 3)
 
     def draw(n):
         comp = rng.integers(0, 3, n)
@@ -197,7 +248,7 @@ def test_ema_recovers_three_clusters():
 
 def test_init_from_large_batch_uses_rows_verbatim():
     rng = make_rng(76)
-    cb = make_codebook(rng, 4, 2, dtype=np.float64)
+    cb = f64_codebook(rng, 4, 2)
     y = rng.normal(0, 1, (50, 2))
     init_from_batch(cb, y, rng)
     assert cb.initialized
@@ -210,7 +261,7 @@ def test_init_from_large_batch_uses_rows_verbatim():
 
 def test_init_from_small_batch_jitters_duplicates():
     rng = make_rng(77)
-    cb = make_codebook(rng, 8, 2, dtype=np.float64)
+    cb = f64_codebook(rng, 8, 2)
     y = rng.normal(0, 1, (3, 2))
     init_from_batch(cb, y, rng)
     assert len({tuple(e) for e in cb.embeddings}) == 8
@@ -220,7 +271,7 @@ def test_init_from_small_batch_jitters_duplicates():
 
 def test_init_rejects_dim_mismatch():
     rng = make_rng(78)
-    cb = make_codebook(rng, 4, 3, dtype=np.float64)
+    cb = f64_codebook(rng, 4, 3)
     with pytest.raises(ValueError):
         init_from_batch(cb, rng.normal(0, 1, (10, 2)), rng)
 
