@@ -17,8 +17,8 @@ failing on truncation instead of returning partial state.
 from __future__ import annotations
 
 import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -43,42 +43,58 @@ def save_checkpoint(path, entries: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
-    off = 4
+    """Read entries from path, each straight into its own array.
 
-    def take(n):
-        nonlocal off
-        if off + n > len(raw):
-            raise CheckpointError(f"{path}: truncated at byte {off}")
-        chunk = raw[off:off + n]
-        off += n
-        return chunk
+    Every length is checked against the file's size before anything of
+    that length is allocated or read.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        off = 0
 
-    version, count = struct.unpack("<II", take(8))
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    entries = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        try:
-            name = take(name_len).decode()
-        except UnicodeDecodeError:
-            raise CheckpointError(
-                f"{path}: entry name at byte {off - name_len} is not utf-8"
-            ) from None
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        n = math.prod(shape)  # exact, where an int64 product would wrap
-        # numpy refuses any shape whose nonzero extents overflow intp
-        # bytes, even one that holds no element
-        if math.prod(d for d in shape if d) * 4 > np.iinfo(np.intp).max:
-            raise CheckpointError(
-                f"{path}: entry '{name}' extents {shape} exceed the "
-                "address space")
-        buf = take(4 * n)
-        entries[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
-    if off != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
+        def need(n):
+            if off + n > size:
+                raise CheckpointError(f"{path}: truncated at byte {off}")
+
+        def take(n, buf=None):
+            """The next n bytes, read into buf if one is given."""
+            nonlocal off
+            need(n)
+            buf = bytearray(n) if buf is None else buf
+            if fh.readinto(buf) != n:  # the file shrank since fstat
+                raise CheckpointError(f"{path}: truncated at byte {off}")
+            off += n
+            return buf
+
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise CheckpointError(f"{path}: bad magic {magic!r}")
+        off = 4
+        version, count = struct.unpack("<II", take(8))
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        entries = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4))
+            try:
+                name = take(name_len).decode()
+            except UnicodeDecodeError:
+                raise CheckpointError(
+                    f"{path}: entry name at byte {off - name_len} is not utf-8"
+                ) from None
+            (ndim,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            n = math.prod(shape)  # exact, where an int64 product would wrap
+            # numpy refuses any shape whose nonzero extents overflow intp
+            # bytes, even one that holds no element
+            if math.prod(d for d in shape if d) * 4 > np.iinfo(np.intp).max:
+                raise CheckpointError(
+                    f"{path}: entry '{name}' extents {shape} exceed the "
+                    "address space")
+            need(4 * n)  # before allocating what the file does not hold
+            arr = np.empty(shape, dtype="<f4")
+            take(4 * n, arr.reshape(-1).view(np.uint8))
+            entries[name] = arr
+    if off != size:
+        raise CheckpointError(f"{path}: {size - off} trailing bytes")
     return entries

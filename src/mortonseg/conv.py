@@ -11,7 +11,9 @@ at stride 1) on a common grid and flattened, so each tap reads one
 contiguous slice of one phase at a fixed offset, over the output laid out
 with the grid's row length (voxels between rows are cropped), and the
 GEMM loop and its adjoint run over a list of (weights, slice, output)
-taps. The tape keeps only the phases, about the padded input's size.
+taps. The tape keeps the input itself, which it holds anyway as the op's
+parent, not the phases: backward splits it again, so no padded copy
+outlives the op's forward or backward.
 - conv3d, per-tap form: where the flat output length n >= 2*C_out (wide
   grids, few channels), the k^3 taps each add W_tap @ slice, from a
   tap-major copy of w.
@@ -130,12 +132,12 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
                                             (od, oh, ow)))
             for r, o in taps]
 
-        def stack():
+        def stack(flat):
             vol = flat.reshape(flat.shape[:2] + grid)
             return np.stack([vol[box] for box in boxes],
                             axis=1).reshape(-1, od * oh * ow)
 
-        out = (w2 @ stack()).reshape(cout, od, oh, ow)
+        out = (w2 @ stack(flat)).reshape(cout, od, oh, ow)
     else:
         wt = np.ascontiguousarray(w2.reshape(cout, cin, -1).transpose(2, 0, 1))
         acc = np.zeros((cout, od * gh * gw),
@@ -146,11 +148,13 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None = None,
         out += b.data[:, None, None, None]
 
     def bwd(g):
+        flat, _, _, slices = _flat_phases(x.data, k, stride)
         gflat = np.zeros_like(flat)
         if stacked:
             gf = g.reshape(cout, -1)
-            gk = gf @ stack().T
-            gcols = (w2.T @ gf).reshape(cin, len(taps), od, oh, ow)
+            gk = gf @ stack(flat).T
+            gcols = (w.data.reshape(cout, -1).T @ gf).reshape(
+                cin, len(taps), od, oh, ow)
             gvol = gflat.reshape(flat.shape[:2] + grid)
             for i, box in enumerate(boxes):
                 gvol[box] += gcols[:, i]
@@ -234,6 +238,7 @@ def upsample_conv3d(x: Tensor, w: Tensor) -> Tensor:
         .transpose(3, 4, 0, 5, 1, 6, 2).reshape(cout, 2 * d, 2 * h, 2 * wd)
 
     def bwd(g):
+        flat, _, _, slices = _flat_phases(x.data, 3, 1)
         gacc = np.zeros((2, 2, 2, cout, d, gh, gw), dtype=g.dtype)
         gacc[..., :h, :wd] = g.reshape(cout, d, 2, h, 2, wd, 2) \
             .transpose(2, 4, 6, 0, 1, 3, 5)

@@ -4,7 +4,9 @@ A Tensor wraps a contiguous row-major numpy buffer. Differentiable ops
 record a node (parents + backward closure) on the implicit tape; calling
 ``backward()`` on a scalar, or ``backward(seed)`` with a cotangent of the
 output's shape, replays the graph in reverse topological order and
-accumulates gradients into every tensor with ``requires_grad``.
+accumulates gradients into every tensor with ``requires_grad``, or hands
+each leaf's gradient to a sink once it is final (``backward(sink=...)``,
+which training uses to step each parameter inside the pass).
 
 The ops are the ones the model records; gradient checks seed
 ``backward`` rather than reduce on the tape. Nothing broadcasts: ``add``,
@@ -165,10 +167,20 @@ class Tensor:
             out._backward_fn = None
         return out
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add g to .grad, in a new array, not one g may alias."""
+        self.grad = g.copy() if self.grad is None else self.grad + g
+
+    def backward(self, grad: np.ndarray | None = None, sink=None) -> None:
         """Accumulate gradients of self w.r.t. every requires_grad tensor.
 
         ``self`` must be scalar unless an explicit seed gradient is given.
+        Without ``sink`` each leaf's gradient lands on its ``.grad``. With
+        one, ``sink(leaf, g)`` takes it instead, once per leaf, as soon as
+        the gradient is final: every closure that uses the leaf has run,
+        so the sink may update ``leaf.data`` in place (an optimizer step
+        inside backward). The pass drops its references to g after the
+        call, so a sink that keeps none frees it before the next leaf's.
         """
         if grad is None:
             if self.size != 1:
@@ -178,10 +190,13 @@ class Tensor:
             grad = np.asarray(grad, dtype=self.data.dtype)
             if grad.shape != self.shape:
                 raise ValueError("seed gradient shape mismatch")
+        land = sink or Tensor.accumulate_grad
 
-        # Iterative topological order (inputs before consumers).
+        # Iterative topological order (inputs before consumers), and per
+        # leaf the number of its uses whose closures are still to run.
         topo: list[Tensor] = []
         seen: set[int] = set()
+        uses: dict[int, int] = {}
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
@@ -193,7 +208,11 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if not p.requires_grad:
+                    continue
+                if p._backward_fn is None:
+                    uses[id(p)] = uses.get(id(p), 0) + 1
+                if id(p) not in seen:
                     stack.append((p, False))
 
         flowing: dict[int, np.ndarray] = {id(self): grad}
@@ -202,19 +221,34 @@ class Tensor:
             if g is None:
                 continue
             if node._backward_fn is None:
-                # leaf: this is where gradients land
+                # a leaf some of whose uses got no gradient, or self
                 if node.requires_grad:
-                    node.grad = g.copy() if node.grad is None else node.grad + g
+                    land(node, g)
                 continue
-            parent_grads = node._backward_fn(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if pg is None or not p.requires_grad:
-                    continue
-                key = id(p)
-                if key in flowing:
-                    flowing[key] = flowing[key] + pg
-                else:
-                    flowing[key] = pg
+            for leaf in _propagate(node, g, flowing, uses):
+                land(leaf, flowing.pop(id(leaf)))
+
+
+def _propagate(node: Tensor, g: np.ndarray, flowing: dict,
+               uses: dict) -> list:
+    """Run node's closure on g and add each parent's share into flowing.
+
+    Returns the leaves whose last use this was and that got a gradient.
+    The closure's outputs die with this frame, so a leaf's gradient is
+    referenced only from flowing when it is handed on.
+    """
+    final = []
+    for p, pg in zip(node._parents, node._backward_fn(g)):
+        if not p.requires_grad:
+            continue
+        key = id(p)
+        if pg is not None:
+            flowing[key] = flowing[key] + pg if key in flowing else pg
+        if p._backward_fn is None:
+            uses[key] -= 1
+            if not uses[key] and key in flowing:
+                final.append(p)
+    return final
 
 
 def named_tensors(obj, prefix: str = "") -> dict:

@@ -31,11 +31,16 @@ _BLOCK = 32768  # elements per AdamW block: temporaries stay in cache
 class AdamW:
     """Adam moments plus decoupled weight decay (decay skips the moments).
 
-    `step` updates each parameter's data and its moments `m`, `v` in
-    place, one block of `_BLOCK` elements of the flattened arrays at a
-    time, so the temporaries stay in cache and nothing of a parameter's
-    size is allocated. Every element goes through the same IEEE
-    operations, in the same order, as the per-tensor formula.
+    A step is `begin_step`, which advances the step count and the bias
+    corrections, then `update(p, g)` for each parameter. `train` passes
+    `update` to backward as its sink, so each parameter steps as soon as
+    its gradient is final and no other gradient need be alive; `step`
+    does the same from the gradients on `.grad`. `update` works on the
+    parameter's data and its moments `m`, `v` in place, one block of
+    `_BLOCK` elements of the flattened arrays at a time, so the
+    temporaries stay in cache and nothing of a parameter's size is
+    allocated. Every element goes through the same IEEE operations, in
+    the same order, as the per-tensor formula.
     """
 
     def __init__(self, params: list, lr: float = 1e-4,
@@ -48,47 +53,62 @@ class AdamW:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._slot = {id(p): i for i, p in enumerate(self.params)}
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
+        """One step from the gradients on `.grad`; a parameter without
+        one is left as it is."""
+        self.begin_step()
+        for p in self.params:
+            if p.grad is not None:
+                self.update(p, p.grad)
+
+    def begin_step(self) -> None:
+        """Advance the step count, and with it the bias corrections."""
         self.t += 1
+
+    def update(self, p: Tensor, g: np.ndarray) -> None:
+        """Step parameter p with its gradient g; a tensor this optimizer
+        does not own gets g on its `.grad` instead."""
+        i = self._slot.get(id(p))
+        if i is None:
+            p.accumulate_grad(g)
+            return
         b1, b2, lr = self.beta1, self.beta2, self.lr
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         decay = lr * self.weight_decay
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            # reshape(-1) of a contiguous array is a view: writes land in p, m, v
-            w, g, m, v = (a.reshape(-1) for a in (p.data, p.grad, m, v))
-            s1 = np.empty(min(w.size, _BLOCK), dtype=w.dtype)
-            s2 = np.empty_like(s1)
-            for lo in range(0, w.size, _BLOCK):
-                wb, gb, mb, vb = (a[lo:lo + _BLOCK] for a in (w, g, m, v))
-                t1, t2 = s1[:wb.size], s2[:wb.size]
-                if self.weight_decay:  # w -= decay * w
-                    np.multiply(decay, wb, out=t1)
-                    np.subtract(wb, t1, out=wb)
-                # m = b1 * m + (1 - b1) * g
-                np.multiply(b1, mb, out=mb)
-                np.multiply(1.0 - b1, gb, out=t1)
-                np.add(mb, t1, out=mb)
-                # v = b2 * v + (1 - b2) * g * g
-                np.multiply(b2, vb, out=vb)
-                np.multiply(1.0 - b2, gb, out=t1)
-                np.multiply(t1, gb, out=t1)
-                np.add(vb, t1, out=vb)
-                # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-                np.divide(mb, bc1, out=t1)
-                np.multiply(lr, t1, out=t1)
-                np.divide(vb, bc2, out=t2)
-                np.sqrt(t2, out=t2)
-                np.add(t2, ADAM_EPS, out=t2)
-                np.divide(t1, t2, out=t1)
+        # reshape(-1) of a contiguous array is a view: writes land in p, m, v
+        w, g, m, v = (a.reshape(-1) for a in (p.data, g, self.m[i], self.v[i]))
+        s1 = np.empty(min(w.size, _BLOCK), dtype=w.dtype)
+        s2 = np.empty_like(s1)
+        for lo in range(0, w.size, _BLOCK):
+            wb, gb, mb, vb = (a[lo:lo + _BLOCK] for a in (w, g, m, v))
+            t1, t2 = s1[:wb.size], s2[:wb.size]
+            if self.weight_decay:  # w -= decay * w
+                np.multiply(decay, wb, out=t1)
                 np.subtract(wb, t1, out=wb)
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(b1, mb, out=mb)
+            np.multiply(1.0 - b1, gb, out=t1)
+            np.add(mb, t1, out=mb)
+            # v = b2 * v + (1 - b2) * g * g
+            np.multiply(b2, vb, out=vb)
+            np.multiply(1.0 - b2, gb, out=t1)
+            np.multiply(t1, gb, out=t1)
+            np.add(vb, t1, out=vb)
+            # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(mb, bc1, out=t1)
+            np.multiply(lr, t1, out=t1)
+            np.divide(vb, bc2, out=t2)
+            np.sqrt(t2, out=t2)
+            np.add(t2, ADAM_EPS, out=t2)
+            np.divide(t1, t2, out=t1)
+            np.subtract(wb, t1, out=wb)
 
     # -- checkpoint plumbing ------------------------------------------------
 
@@ -96,7 +116,7 @@ class AdamW:
         """Step count and moments, keyed by the parameters' names.
 
         The moment arrays are the live ones, not copies: they are valid
-        until the next `step()`, which overwrites them in place. Copying
+        until the next `update`, which overwrites them in place. Copying
         here would hold a second set of moments while a checkpoint is
         written.
         """
@@ -168,10 +188,14 @@ def train(model: Model, cases: list, steps: int, lr: float = 1e-4,
     """Run optimizer steps start_step .. start_step+steps-1.
 
     cases are CaseRecords; each optimizer step trains on one case chosen
-    by the step stream. Raises NumericalError (with the offending step)
-    if the loss goes non-finite. Returns the per-step loss log and the
-    optimizer, whose state a caller can serialize next to the model for
-    exact resume.
+    by the step stream. The backward pass hands each parameter's gradient
+    to `opt.update` as soon as it is final, so a step holds the
+    parameters, the two moments, the activations and one gradient at a
+    time, and no gradient outlives it: `.grad` stays None. The result is
+    bit-identical to a full backward followed by `opt.step()`. Raises
+    NumericalError (with the offending step) if the loss goes non-finite.
+    Returns the per-step loss log and the optimizer, whose state a caller
+    can serialize next to the model for exact resume.
     """
     if not cases:
         raise ValueError("empty dataset")
@@ -194,10 +218,9 @@ def train(model: Model, cases: list, steps: int, lr: float = 1e-4,
         if log is not None:
             log(row)
 
-        opt.zero_grad()
-        report.total.backward()
+        opt.begin_step()
+        report.total.backward(sink=opt.update)
         model.ema_step(result)
-        opt.step()
     return TrainResult(losses=losses, final_step=start_step + steps), opt
 
 

@@ -19,6 +19,7 @@ from mortonseg.conv import (
     upsample_nearest3d,
 )
 from mortonseg.gradcheck import check_gradients
+from mortonseg.network import Model, desk_config
 from mortonseg.tensor import Tensor
 
 
@@ -195,17 +196,48 @@ def closure_arrays(fn):
 @pytest.mark.parametrize("shape,cout,stride", [
     ((3, 6, 7, 5), 4, 1), ((3, 7, 6, 5), 4, 2), ((3, 2, 2, 2), 16, 1)])
 def test_conv3d_tape_holds_no_columns(shape, cout, stride):
-    # the tape keeps the padded input, not a (C_in*k^3, V) column matrix
+    # the tape keeps the input and the weights, which it holds anyway, and
+    # in the per-tap form the tap-major weight copy: no column matrix and
+    # no padded phases
     rng = np.random.default_rng(18)
     x = leaf(rng.standard_normal(shape))
     w = leaf(rng.standard_normal((cout, shape[0], 3, 3, 3)))
     b = leaf(np.zeros(cout))
     out = conv3d(x, w, b, stride=stride)
-    columns = shape[0] * 27 * int(np.prod(out.shape[1:]))
+    tap_major = w.data.reshape(cout, shape[0], 27).transpose(2, 0, 1)
     held = [a for a in closure_arrays(out._backward_fn)
             if not any(a is t.data for t in (x, w, b))]
-    assert held
-    assert max(a.size for a in held) < columns
+    assert len(held) <= 1
+    assert all(np.array_equal(a, tap_major) for a in held)
+
+
+def test_desk_forward_conv_closures_hold_no_padded_input():
+    # every conv3d and upsample_conv3d closure of a desk forward holds no
+    # array as large as its padded input, other than its parents' data and
+    # copies of its weights (tap-major, or folded), whose trailing axes are
+    # (C_out, C_in) or C_out * C_in
+    model = Model(desk_config(), seed=0)
+    x = np.random.default_rng(19).standard_normal((4, 16, 16, 16))
+    stack, seen, convs = [model.forward(x).logits], set(), 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if node.op not in ("conv3d", "upsample_conv3d"):
+            continue
+        convs += 1
+        x, w = node._parents[:2]
+        k = w.shape[2]
+        padded = x.shape[0] * np.prod([e + k - 1 for e in x.shape[1:]])
+        for a in closure_arrays(node._backward_fn):
+            if any(a is p.data for p in node._parents):
+                continue
+            weights = (a.shape[-2:] == w.shape[:2]
+                       or a.shape[-1] == w.shape[0] * w.shape[1])
+            assert a.size < padded or weights, (node.op, x.shape, a.shape)
+    assert convs
 
 
 # ---------------------------------------------------------------- dwconv1d

@@ -135,6 +135,29 @@ def test_diamond_graph_accumulates_both_paths():
     assert np.allclose(y.grad, [1.0])
 
 
+def test_backward_sink_takes_each_leaf_once_after_its_last_use():
+    rng = np.random.default_rng(12)
+    x, y = leaf(rng, 4), leaf(rng, 4)
+    seed = rng.standard_normal(4)
+
+    def graph():  # x has two uses, and silu's closure reads x.data
+        return T.add(T.silu(x), T.add(x, y))
+
+    graph().backward(seed)
+    want = {id(x): x.grad, id(y): y.grad}
+    taken = []
+
+    def sink(t, g):
+        taken.append((id(t), g.copy()))
+        t.data[...] = np.nan  # in place: no closure may read it any more
+
+    graph().backward(seed, sink=sink)
+    assert sorted(k for k, _ in taken) == sorted(want)
+    for k, g in taken:
+        np.testing.assert_array_equal(g, want[k])
+    np.testing.assert_array_equal(x.grad, want[id(x)])  # left alone
+
+
 def test_backward_accumulates_across_calls():
     x = T.Tensor([2.0], requires_grad=True, dtype=np.float64)
     T.silu(x).backward()

@@ -9,6 +9,7 @@ designed to give.
 import hashlib
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ from mortonseg.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from mortonseg.network import Model, desk_config
-from mortonseg.phantom import generate_phantom
+from mortonseg.network import Model, ce_dice_loss, desk_config
+from mortonseg.phantom import generate_phantom, normalize_modalities
 from mortonseg.rng import make_rng
-from mortonseg.tensor import NumericalError, Tensor
+from mortonseg.tensor import NumericalError, Tensor, add, default_dtype
 from mortonseg.train import (
     _BLOCK,
+    _STEP_STREAM,
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
@@ -49,6 +51,17 @@ def tiny_cases(n=2):
 
 # ---------------------------------------------------------------- AdamW
 
+def adamw_formula_step(theta, m, v, g, t, lr, wd, b1, b2, eps):
+    """One step of the per-tensor expressions, in place on theta, m, v."""
+    if wd:
+        theta -= lr * wd * theta
+    m[...] = b1 * m + (1 - b1) * g
+    v[...] = b2 * v + (1 - b2) * g * g
+    mhat = m / (1 - b1 ** t)
+    vhat = v / (1 - b2 ** t)
+    theta -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
 def adamw_oracle(theta, grads, lr, wd, b1, b2, eps, steps):
     """Reference update sequence for a single parameter: the per-tensor
     expressions that the blocked `AdamW.step` must match bit for bit."""
@@ -56,13 +69,7 @@ def adamw_oracle(theta, grads, lr, wd, b1, b2, eps, steps):
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     for t, g in enumerate(grads, start=1):
-        if wd:
-            theta -= lr * wd * theta
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
-        theta -= lr * mhat / (np.sqrt(vhat) + eps)
+        adamw_formula_step(theta, m, v, g, t, lr, wd, b1, b2, eps)
     return theta
 
 
@@ -314,6 +321,110 @@ def test_train_resume_bit_identical(tmp_path):
     sa, sb = straight.state_dict(), resumed.state_dict()
     for k in sa:
         np.testing.assert_array_equal(sa[k], sb[k], err_msg=k)
+
+
+def reference_training_state(model, cases, steps, lr, wd, seed):
+    """The training loop as it ran before AdamW moved into backward: every
+    gradient lands on `.grad`, then the per-tensor formula steps each
+    parameter. Returns the training state after `steps` steps."""
+    names = list(model.named_parameters())
+    params = model.parameters()
+    ms = [np.zeros_like(p.data) for p in params]
+    vs = [np.zeros_like(p.data) for p in params]
+    for step in range(steps):
+        rng = make_rng(seed, _STEP_STREAM, step)
+        case = cases[int(rng.integers(0, len(cases)))]
+        x, labs = augment_case(normalize_modalities(case.modalities),
+                               case.labels, rng)
+        result = model.forward(Tensor(x))
+        report = ce_dice_loss(result.logits, labs, result.commit_loss)
+        for p in params:
+            p.grad = None
+        report.total.backward()
+        model.ema_step(result)
+        for p, m, v in zip(params, ms, vs):
+            adamw_formula_step(p.data, m, v, p.grad, step + 1, lr, wd,
+                               ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+    state = model.state_dict()
+    for name, m, v in zip(names, ms, vs):
+        state[f"opt.m.{name}"], state[f"opt.v.{name}"] = m, v
+    state["opt.t"] = np.array([float(steps)], dtype=np.float32)
+    state["train.step"] = np.array([float(steps)], dtype=np.float32)
+    return state
+
+
+def assert_same_bits(got: dict, want: dict):
+    assert sorted(got) == sorted(want)
+    for k in want:
+        assert got[k].dtype == want[k].dtype, k
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_updates_in_backward_as_the_old_loop_did(dtype):
+    # AdamW as backward's sink gives the bits of backward-then-step
+    cases = tiny_cases(2)
+    with default_dtype(dtype):
+        want = reference_training_state(Model(desk_config(), seed=2), cases,
+                                         3, 5e-3, 1e-3, seed=4)
+        model = Model(desk_config(), seed=2)
+        _, opt = train(model, cases, steps=3, lr=5e-3, weight_decay=1e-3,
+                       seed=4)
+    assert_same_bits(training_state(model, opt, 3), want)
+    assert all(p.grad is None for p in model.parameters())
+
+
+def test_train_in_backward_resumes_as_the_old_loop_ran(tmp_path):
+    # 2 steps, a training-state file, 2 more: the old loop's 4 steps
+    cases = tiny_cases(2)
+    want = reference_training_state(Model(desk_config(), seed=2), cases, 4,
+                                    5e-3, 1e-3, seed=4)
+    first = Model(desk_config(), seed=2)
+    _, opt = train(first, cases, steps=2, lr=5e-3, weight_decay=1e-3, seed=4)
+    save_checkpoint(tmp_path / "mid.mseg", training_state(first, opt, 2))
+    model = Model(desk_config(), seed=9)
+    opt, step = load_training_state(model, load_checkpoint(
+        tmp_path / "mid.mseg"), lr=5e-3, weight_decay=1e-3)
+    _, opt = train(model, cases, steps=2, lr=5e-3, weight_decay=1e-3, seed=4,
+                   optimizer=opt, start_step=step)
+    assert_same_bits(training_state(model, opt, 4), want)
+
+
+class WatchedAdamW(AdamW):
+    """Asserts, at each update, that no earlier gradient is alive."""
+
+    def __init__(self, params, **kw):
+        super().__init__(params, **kw)
+        self.earlier, self.updated = [], []
+
+    def update(self, p, g):
+        alive = [name for name, ref in self.earlier if ref() is not None]
+        assert not alive, f"gradients still alive: {alive[:3]}"
+        self.earlier.append((p.shape, weakref.ref(g)))
+        self.updated.append(p)
+        super().update(p, g)
+
+
+def test_train_holds_one_parameter_gradient_at_a_time():
+    model = tiny_model(seed=3)
+    opt = WatchedAdamW(model.parameters(), lr=1e-3)
+    train(model, tiny_cases(1), steps=2, lr=1e-3, seed=0, optimizer=opt)
+    params = model.parameters()
+    # each parameter stepped once per step, and only parameters did
+    assert len(opt.updated) == 2 * len(params)
+    assert {id(p) for p in opt.updated} == {id(p) for p in params}
+    assert all(p.grad is None for p in params)
+
+
+def test_update_leaves_a_foreign_leaf_its_gradient():
+    p = Tensor(np.ones(3), dtype=np.float64, requires_grad=True)
+    q = Tensor(np.ones(3), dtype=np.float64, requires_grad=True)
+    opt = AdamW([p], lr=0.1, weight_decay=0.0)
+    opt.begin_step()
+    add(p, q).backward(np.array([1.0, -2.0, 3.0]), sink=opt.update)
+    np.testing.assert_array_equal(q.grad, [1.0, -2.0, 3.0])
+    assert p.grad is None
+    np.testing.assert_allclose(p.data, [0.9, 1.1, 0.9])
 
 
 # ---------------------------------------------------------------- files
