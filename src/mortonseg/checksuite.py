@@ -46,7 +46,6 @@ def suite(seed: int = 0) -> list:
 
     add("add", T.add, [_t(rng, 3, 4), _t(rng, 3, 4)])
     add("silu", T.silu, [_t(rng, 4, 4, lo=-3, hi=3)])
-    add("flip", lambda x: T.flip(x, 1), [_t(rng, 3, 4)])
     add("concat", lambda x, y: T.concat([x, y], axis=1),
         [_t(rng, 2, 3), _t(rng, 2, 2)])
     add("layer_norm", lambda x: T.layer_norm(x, axis=-1), [_t(rng, 3, 6)])
@@ -92,14 +91,15 @@ def suite(seed: int = 0) -> list:
         scan_p = init_ssm_params(make_rng(seed, 0xC1), e=2, n=3)
         cb = make_codebook(make_rng(seed, 0xC2), k=4, d=3)
 
-    def run_scan(seq, a_log, w_b, w_c, w_delta, b_delta, d_skip):
-        sp = ScanParams(a_log=a_log, w_b=w_b, w_c=w_c, w_delta=w_delta,
-                        b_delta=b_delta, d_skip=d_skip)
-        return selective_scan(seq, sp, "forward")
+    def run_scan(direction):
+        return lambda seq, *ps: selective_scan(seq, ScanParams(*ps),
+                                               direction)
 
-    add("selective_scan", run_scan,
-        [_t(rng, 6, 2), scan_p.scan.a_log, scan_p.scan.w_b, scan_p.scan.w_c,
-         scan_p.scan.w_delta, scan_p.scan.b_delta, scan_p.scan.d_skip])
+    add("selective_scan", run_scan("forward"),
+        [_t(rng, 6, 2), *scan_p.scan.tensors()])
+    # the reverse direction flips inside the op; its own stream
+    add("selective_scan_reverse", run_scan("reverse"),
+        [_t(make_rng(seed, 0xC6), 6, 2), *scan_p.scan.tensors()])
     add("gated_fusion", gated_fusion,
         [_t(rng, 5, 3), _t(rng, 5, 3), _t(rng, 3)])
 

@@ -261,18 +261,22 @@ def dwconv1d_causal(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Depthwise causal 1-D convolution over a (L, E) sequence.
 
     y[t, e] = b[e] + sum_j w[e, j] * x[t - (k-1) + j, e], zero history.
-    Position t never sees positions after t.
+    Position t never sees positions after t. The tape keeps x, not its
+    zero-padded copy: backward pads it again.
     """
     ln, e = x.shape
     ew, k = w.shape
     if ew != e or b.shape != (e,):
         raise ValueError("weight/bias extents do not match the sequence")
-    xp = np.concatenate([np.zeros((k - 1, e), dtype=x.data.dtype), x.data])
+    xd = x.data
+    pad = lambda: np.concatenate([np.zeros((k - 1, e), dtype=xd.dtype), xd])
+    xp = pad()
     out = np.broadcast_to(b.data, (ln, e)).copy()
     for j in range(k):
         out += xp[j:j + ln] * w.data[:, j]
 
     def bwd(g):
+        xp = pad()
         gb = g.sum(axis=0)
         gw = np.empty_like(w.data)
         gxp = np.zeros_like(xp)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 LABEL_NAMES = {0: "background", 1: "ED", 2: "NCR", 3: "ET"}
 REGIONS = {"WT": (1, 2, 3), "TC": (2, 3), "ET": (3,)}
@@ -76,6 +75,10 @@ def hd95(pred: np.ndarray, gt: np.ndarray,
         return 0.0, False
     if bp.size == 0 or bg.size == 0:
         return volume_diagonal(pred.shape, spacing), True
+    # imported here, not at the top: scipy.spatial loads scipy.sparse and
+    # scipy.linalg, which nothing else in the package needs
+    from scipy.spatial import cKDTree
+
     sp = np.asarray(spacing, dtype=np.float64)
     pp = bp * sp
     gg = bg * sp

@@ -13,8 +13,8 @@ along the sequence:
 B, C and delta depend on the input, so the state decides token by token
 what to keep; A < 0 guarantees |Abar| < 1 and bounded states. The reverse
 direction is the same recurrence run on the flipped sequence and flipped
-back, which makes forward/reverse duality exact by construction rather
-than by a second code path.
+back, inside the one op, which makes forward/reverse duality exact by
+construction rather than by a second code path.
 
 Discretization, recurrence and output map are one tape op with a
 hand-derived backward, ``linear_recurrence``. It walks the sequence
@@ -29,8 +29,10 @@ a running sum leaves float32 range within a few tokens.
 ``selective_scan`` wraps it in one tape op per direction, as Mamba's
 fused kernel does: the projections, softplus, A and the D skip are numpy
 steps around the recurrence, which stays an op of its own that hooks
-see, and backward runs its recorded adjoint before theirs.
-``gated_fusion`` is one op too.
+see, and backward runs its recorded adjoint before theirs. The op keeps
+its input and the recurrence's step sizes; backward recomputes the
+projection that softplus' derivative needs. ``gated_fusion`` is one op
+too.
 """
 
 from __future__ import annotations
@@ -180,23 +182,26 @@ def linear_recurrence(delta: Tensor, a: Tensor, b: Tensor, s: Tensor,
 def selective_scan(seq: Tensor, p: ScanParams, direction: str = "forward") -> Tensor:
     """Run the S6 recurrence over a (L, E) sequence in one direction.
 
-    direction="reverse" is Flip . scan . Flip of the same parameters.
+    direction="reverse" is Flip . scan . Flip of the same parameters as
+    one op: it scans a flipped copy of the input and flips the output,
+    and backward flips the gradients likewise, so its arrays are those
+    of the composition.
     """
     if seq.ndim != 2 or seq.shape[0] < 1:
         raise ValueError("sequence must be (L, E) with L >= 1")
-    if direction == "reverse":
-        return T.flip(selective_scan(T.flip(seq, 0), p, "forward"), 0)
-    if direction != "forward":
+    if direction not in ("forward", "reverse"):
         raise ValueError("direction must be 'forward' or 'reverse'")
     params = p.tensors()
     if any(t.dtype != seq.dtype for t in params):
         raise TypeError(f"scan parameters are not all {seq.dtype} like the "
                         "sequence; convert explicitly")
+    rev = direction == "reverse"
     (ln, e), n = seq.shape, p.a_log.shape[1]
-    x, d = seq.data, p.d_skip.data
+    x = np.flip(seq.data, 0).copy() if rev else seq.data
+    d, bd = p.d_skip.data, p.b_delta.data
     wd, wb, wc = p.w_delta.data, p.w_b.data, p.w_c.data
-    u = x @ wd + p.b_delta.data
-    sig = T._sigmoid(u)  # softplus'(u)
+    u = x @ wd
+    u += bd
     a = -np.exp(p.a_log.data)
     leaf = lambda v, *shape: Tensor(v.reshape(shape), requires_grad=True,
                                     dtype=v.dtype)
@@ -206,13 +211,23 @@ def selective_scan(seq: Tensor, p: ScanParams, direction: str = "forward") -> Te
     rec_bwd = rec._backward_fn  # not rec: its (L, E) output need not live on
 
     def bwd(g):
+        if rev:
+            g = np.flip(g, 0).copy()
         gd, ga, gb, gs, gc = rec_bwd(g)
-        gu, gb = gd[:, :, 0] * sig, gb[:, 0]
-        gx = gu @ wd.T + gb @ wb.T + gc @ wc.T + gs[:, :, 0] + g * d
-        return (gx, ga[0] * a, x.T @ gb, x.T @ gc, x.T @ gu, gu.sum(axis=0),
-                (g * x).sum(axis=0))
+        u = x @ wd
+        u += bd
+        gu, gb = gd[:, :, 0], gb[:, 0]
+        gu *= T._sigmoid(u)  # softplus'(u)
+        gx = gu @ wd.T
+        gx += gb @ wb.T
+        gx += gc @ wc.T
+        gx += gs[:, :, 0]
+        gx += g * d
+        return (np.flip(gx, 0) if rev else gx, ga[0] * a, x.T @ gb,
+                x.T @ gc, x.T @ gu, gu.sum(axis=0), (g * x).sum(axis=0))
 
-    return Tensor._make(rec.data + x * d, (seq, *params), bwd,
+    y = rec.data + x * d
+    return Tensor._make(np.flip(y, 0) if rev else y, (seq, *params), bwd,
                         "selective_scan")
 
 

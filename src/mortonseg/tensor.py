@@ -13,10 +13,14 @@ The ops are the ones the model records; gradient checks seed
 the one binary op, takes two Tensors of the same shape and dtype, so
 every gradient has its operand's shape.
 
-Gradient policy: ``backward()`` may be called more than once on the same
-graph; each call re-runs the recorded closures, which are deterministic,
-so repeated passes (after zeroing grads) are bit-identical. Gradients
-accumulate, callers zero them between optimization steps.
+Gradient policy: a backward pass consumes its graph, as PyTorch's does
+by default. Each op's closure and parent links are dropped as soon as
+the closure has run, so a forward array is freed once nothing
+downstream needs it; a second pass through a consumed op raises
+RuntimeError naming it. Run the forward again for another pass: the
+closures are deterministic, so repeated passes (after zeroing grads)
+are bit-identical. Gradients accumulate, callers zero them between
+optimization steps.
 
 ``layer_norm`` is one op with a closed-form adjoint, as are the
 network's instance norm and loss, the quantizer's commitment, a scan
@@ -181,6 +185,10 @@ class Tensor:
         so the sink may update ``leaf.data`` in place (an optimizer step
         inside backward). The pass drops its references to g after the
         call, so a sink that keeps none frees it before the next leaf's.
+
+        The pass consumes the graph: each op drops its closure and parent
+        links once the closure has run. Backward through a consumed op
+        raises RuntimeError; run the forward again instead.
         """
         if grad is None:
             if self.size != 1:
@@ -205,6 +213,10 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward_fn is _consumed:
+                raise RuntimeError(
+                    f"backward through op '{node.op}', whose graph an earlier "
+                    "pass consumed; run the forward again")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -216,29 +228,39 @@ class Tensor:
                     stack.append((p, False))
 
         flowing: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        while topo:  # popped: the list must not keep a released node alive
+            node = topo.pop()
             g = flowing.pop(id(node), None)
-            if g is None:
-                continue
             if node._backward_fn is None:
                 # a leaf some of whose uses got no gradient, or self
-                if node.requires_grad:
+                if g is not None and node.requires_grad:
                     land(node, g)
-                continue
-            for leaf in _propagate(node, g, flowing, uses):
-                land(leaf, flowing.pop(id(leaf)))
+            elif g is None:  # no gradient reached it: only release it
+                node._parents, node._backward_fn = (), _consumed
+            else:
+                for leaf in _propagate(node, g, flowing, uses):
+                    land(leaf, flowing.pop(id(leaf)))
+
+
+def _consumed(g):
+    """The closure of an op whose backward a pass has run and dropped."""
+    raise RuntimeError("backward through a graph an earlier pass consumed")
 
 
 def _propagate(node: Tensor, g: np.ndarray, flowing: dict,
                uses: dict) -> list:
-    """Run node's closure on g and add each parent's share into flowing.
+    """Run node's closure on g, release it, and add each parent's share
+    into flowing.
 
     Returns the leaves whose last use this was and that got a gradient.
-    The closure's outputs die with this frame, so a leaf's gradient is
-    referenced only from flowing when it is handed on.
+    The closure is dropped before any leaf is handed on, and its outputs
+    die with this frame, so a leaf's gradient is referenced only from
+    flowing when it is handed on.
     """
+    parents, grads = node._parents, node._backward_fn(g)
+    node._parents, node._backward_fn = (), _consumed
     final = []
-    for p, pg in zip(node._parents, node._backward_fn(g)):
+    for p, pg in zip(parents, grads):
         if not p.requires_grad:
             continue
         key = id(p)
@@ -282,20 +304,31 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # stable in both tails
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e) where x >= 0 and e / (1 + e) below, with e = exp(-|x|).
+
+    Stable in both tails. -|x| is taken as min(x, -x), which passes a
+    NaN through as exp(x) would, so every element, NaN included, gets
+    the operations of the two-branch formula, done in place.
+    """
+    e = np.negative(x, out=np.empty_like(x))
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    d = np.add(e, 1.0, out=np.empty_like(e))
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=d)
+    np.copyto(e, d, where=x >= 0)
+    return e
 
 
 def silu(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
+    """x * sigmoid(x); backward recomputes the sigmoid from the input."""
     ad = a.data
-    return Tensor._make(
-        ad * s, (a,), lambda g: (g * (s * (1.0 + ad * (1.0 - s))),), "silu")
+
+    def bwd(g):
+        s = _sigmoid(ad)
+        return (g * (s * (1.0 + ad * (1.0 - s))),)
+
+    return Tensor._make(ad * _sigmoid(ad), (a,), bwd, "silu")
 
 
 # -- shape ops --------------------------------------------------------------

@@ -7,10 +7,15 @@ interpolation between order statistics.
 """
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mortonseg
 from mortonseg.analysis import write_rows_csv
 from mortonseg.metrics import (
     CSV_HEADER,
@@ -240,6 +245,20 @@ def test_hd95_rejects_shape_mismatch():
 
 
 # ---------------------------------------------------------------- regions
+
+def test_importing_the_package_leaves_scipy_spatial_unloaded():
+    # hd95 imports the kd-tree at its first call, so neither the package
+    # nor the CLI pays for scipy.spatial (and the scipy.sparse and
+    # scipy.linalg it loads) at import
+    src = str(Path(mortonseg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, mortonseg, mortonseg.cli; "
+            "print('scipy.spatial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
 
 def test_region_table():
     assert REGIONS == {"WT": (1, 2, 3), "TC": (2, 3), "ET": (3,)}

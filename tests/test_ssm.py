@@ -236,6 +236,87 @@ def test_reverse_duality_bit_exact():
         assert np.array_equal(rev, manual)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reverse_scan_op_is_flip_scan_flip_bit_for_bit(dtype):
+    # output and all seven gradients, across two full chunks and a short one
+    rng = make_rng(60)
+    ln, e = 2 * SCAN_CHUNK + 5, 4
+    with T.default_dtype(dtype):
+        p = init_ssm_params(rng, e, 3).scan
+        seq = Tensor(rng.normal(0, 1, (ln, e)), requires_grad=True)
+    g = rng.normal(0, 1, (ln, e)).astype(dtype)
+    leaves = [seq] + p.tensors()
+
+    def run(fn):
+        for t in leaves:
+            t.grad = None
+        y = fn()
+        y.backward(g)
+        return [y.data] + [t.grad for t in leaves]
+
+    got = run(lambda: selective_scan(seq, p, "reverse"))
+    want = run(lambda: T.flip(selective_scan(T.flip(seq, 0), p, "forward"),
+                              0))
+    for a, b in zip(got, want):
+        assert a.dtype == dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def block_tape(feat, p, perm):
+    """Every op node of a bidir_scan_block forward, with its output."""
+    out = bidir_scan_block(feat, p, perm)
+    nodes, seen, stack = [], set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return out, nodes
+
+
+def test_scan_block_records_no_flip():
+    p = init_ssm_params(make_rng(61), 3, 2)
+    feat = Tensor(make_rng(61, 1).normal(0, 1, (3, 2, 3, 2)),
+                  requires_grad=True)
+    _, nodes = block_tape(feat, p, build_permutation((2, 3, 2)))
+    ops = [n.op for n in nodes]
+    assert "flip" not in ops and ops.count("selective_scan") == 2
+
+
+def test_scan_block_closures_keep_no_sequence_copies():
+    # an (L, E) array a closure holds is a tape tensor's data, except each
+    # scan's step sizes delta and the reverse scan's flipped input
+    rng = make_rng(62)
+    e, grid = 4, (4, 4, 5)
+    ln = int(np.prod(grid))
+    p = f64_params(rng, e, 3)
+    feat = Tensor(rng.normal(0, 1, (e, *grid)), requires_grad=True,
+                  dtype=np.float64)
+    _, nodes = block_tape(feat, p, build_permutation(grid))
+    on_tape = set()
+    for t in nodes + p.tensors():
+        base = t.data
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        on_tape.add(id(base))
+    extra = {}
+    for node in nodes:
+        if node._backward_fn is None:
+            continue
+        big = [a for a in held_arrays(node._backward_fn)
+               if a.size >= ln * e and id(a) not in on_tape]
+        if big:
+            extra.setdefault(node.op, []).append(big)
+    assert list(extra) == ["selective_scan"]
+    assert sorted(len(big) for big in extra["selective_scan"]) == [1, 2]
+    assert all(a.shape == (ln, e) for big in extra["selective_scan"]
+               for a in big)
+    scan_in = [n for n in nodes if n.op == "silu"][0].data
+    rev = max(extra["selective_scan"], key=len)
+    assert sum(np.array_equal(a, scan_in[::-1]) for a in rev) == 1
+
+
 def test_recurrence_stability_long_sequence():
     rng = make_rng(48)
     p = f64_params(rng, 2, 3).scan

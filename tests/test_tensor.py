@@ -91,6 +91,42 @@ def test_norm_forwards_match_the_chains_bit_for_bit(dtype):
         np.testing.assert_array_equal(got.data, want)
 
 
+def masked_sigmoid(x):
+    """The two-branch formula _sigmoid replaced, kept as its oracle."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype,bits", [(np.float32, np.uint32),
+                                        (np.float64, np.uint64)])
+def test_sigmoid_matches_the_masked_formula_bit_for_bit(dtype, bits):
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+         np.finfo(dtype).tiny / 3, -np.finfo(dtype).tiny / 3, 100.5, -100.5,
+         150.0, -150.0, 800.0, -800.0, np.finfo(dtype).max,
+         -np.finfo(dtype).max, 0.5, -0.5], dtype=dtype)
+    # NaNs with payloads and either sign keep their bits as before
+    top = bits(1) << bits(8 * np.dtype(dtype).itemsize - 1)
+    nan = np.array(np.nan, dtype=dtype).view(bits)
+    payloads = np.array([nan | bits(5), (nan | bits(291)) | top],
+                        dtype=bits).view(dtype)
+    rng = make_rng(26)
+    table = np.concatenate([specials, payloads,
+                            rng.normal(0.0, 30.0, 200).astype(dtype)])
+    cases = [table[i:i + 1].reshape(()) for i in range(len(table))]
+    cases += [table, rng.permutation(np.resize(table, 40 * 7)).reshape(40, 7)]
+    with np.errstate(all="ignore"):
+        for x in cases:
+            got, want = T._sigmoid(x), masked_sigmoid(x)
+            assert got.shape == x.shape and got.dtype == dtype
+            assert got.view(bits).tobytes() == want.view(bits).tobytes(), x
+
+
 def test_layer_norm_backward_holds_only_its_output_at_full_size():
     x = leaf(make_rng(23), 3, 4, 5)
     y = T.layer_norm(x, axis=(1, 2))
@@ -156,6 +192,27 @@ def test_backward_sink_takes_each_leaf_once_after_its_last_use():
     for k, g in taken:
         np.testing.assert_array_equal(g, want[k])
     np.testing.assert_array_equal(x.grad, want[id(x)])  # left alone
+
+
+def test_second_backward_through_a_consumed_op_raises():
+    x = T.Tensor([0.5, -1.5], requires_grad=True, dtype=np.float64)
+    y = T.Tensor([2.0, 1.0], requires_grad=True, dtype=np.float64)
+    mid = T.silu(x)
+    out = T.add(mid, y)
+    out.backward(np.ones(2))
+    first = x.grad.copy()
+    # the pass released every op it ran: no closure, no parent links
+    assert mid._parents == () and out._parents == ()
+    with pytest.raises(RuntimeError, match="'add'"):
+        out.backward(np.ones(2))
+    # a new op on a consumed one reaches it: the pass refuses before any
+    # closure runs, and lands nothing on the consumed node's .grad, as it
+    # would if the release had made it look like a leaf
+    with pytest.raises(RuntimeError, match="'silu'"):
+        T.add(mid, y).backward(np.ones(2))
+    assert mid.grad is None
+    np.testing.assert_array_equal(x.grad, first)
+    np.testing.assert_array_equal(y.grad, [1.0, 1.0])
 
 
 def test_backward_accumulates_across_calls():

@@ -24,7 +24,8 @@ from mortonseg.checkpoint import (
 from mortonseg.network import Model, ce_dice_loss, desk_config
 from mortonseg.phantom import generate_phantom, normalize_modalities
 from mortonseg.rng import make_rng
-from mortonseg.tensor import NumericalError, Tensor, add, default_dtype
+from mortonseg.tensor import (NumericalError, Tensor, add, default_dtype,
+                              op_hook)
 from mortonseg.train import (
     _BLOCK,
     _STEP_STREAM,
@@ -414,6 +415,81 @@ def test_train_holds_one_parameter_gradient_at_a_time():
     assert len(opt.updated) == 2 * len(params)
     assert {id(p) for p in opt.updated} == {id(p) for p in params}
     assert all(p.grad is None for p in params)
+
+
+def buffer(a):
+    """The array that owns the memory a view (of a view ...) reads."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def own_arrays(fn, kept) -> list:
+    """Float arrays a closure (or one it wraps) holds whose buffers are not
+    in kept: the copies it made for its backward."""
+    out, todo = {}, [fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            try:
+                v = cell.cell_contents
+            except ValueError:  # empty cell
+                continue
+            if isinstance(v, np.ndarray):
+                v = buffer(v)
+                if v.dtype.kind == "f" and id(v) not in kept:
+                    out[id(v)] = v
+            elif callable(v) and getattr(v, "__closure__", None):
+                todo.append(v)
+    return list(out.values())
+
+
+class ClosureWatch(AdamW):
+    """Op hook and optimizer at once: weakrefs the arrays each recorded
+    closure holds of its own, notes which closures have run, and at the
+    last parameter update lists those of run closures still alive."""
+
+    def __init__(self, model, **kw):
+        super().__init__(model.parameters(), **kw)
+        self.kept = {id(buffer(p.data)) for p in model.parameters()}
+        self.ran, self.alive_at_last = [], None
+
+    def __call__(self, op, out, parents, backward_fn):
+        if not out.requires_grad:
+            return backward_fn
+        tape = self.kept | {id(buffer(t.data)) for t in (out, *parents)}
+        refs = [weakref.ref(a) for a in own_arrays(backward_fn, tape)]
+
+        def run(g):
+            grads = backward_fn(g)
+            self.ran.append((op, refs))
+            return grads
+
+        return run
+
+    def begin_step(self):
+        super().begin_step()
+        self.n_updated, self.ran = 0, []
+
+    def update(self, p, g):
+        self.n_updated += 1
+        if self.n_updated == len(self.params):
+            self.alive_at_last = sorted(
+                {op for op, refs in self.ran
+                 if any(r() is not None for r in refs)})
+        super().update(p, g)
+
+
+def test_backward_frees_what_run_closures_held_as_it_goes():
+    # the pass drops each op's closure once it has run, so the copies it
+    # kept for backward are gone before the last parameter is stepped
+    model = Model(desk_config(), seed=3)
+    opt = ClosureWatch(model, lr=1e-3)
+    with op_hook(opt):
+        train(model, tiny_cases(1), steps=1, lr=1e-3, seed=0,
+              optimizer=opt)
+    assert opt.n_updated == len(model.parameters())
+    assert len(opt.ran) > 50 and sum(bool(refs) for _, refs in opt.ran) > 10
+    assert opt.alive_at_last == []
 
 
 def test_update_leaves_a_foreign_leaf_its_gradient():
